@@ -3,6 +3,7 @@
 // so the perf trajectory can be tracked across PRs.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +22,34 @@ inline void print_header(const std::string& title) {
 inline void print_footer_note(const std::string& note) {
   std::printf("----------------------------------------------------------------\n");
   std::printf("%s\n", note.c_str());
+}
+
+/// Median and spread of a repeated measurement (quartiles by linear
+/// interpolation between order statistics).
+struct Summary {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Summary summarize(std::vector<double> samples) {
+  Summary out;
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (samples[hi] - samples[lo]) * (pos - static_cast<double>(lo));
+  };
+  out.median = quantile(0.5);
+  out.q1 = quantile(0.25);
+  out.q3 = quantile(0.75);
+  out.min = samples.front();
+  out.max = samples.back();
+  return out;
 }
 
 /// Collects named metrics, grouped in sections (one per model/config row),

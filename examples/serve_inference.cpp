@@ -261,8 +261,7 @@ int main(int argc, char** argv) {
   std::printf("robustness: %llu faults injected, %llu retries, %llu "
               "quarantines, %llu restages,\n  %llu data-loss, %llu staging "
               "faults, %llu deadline-exceeded (session),\n  %llu "
-              "deadline-expired (server), %llu shed, %llu shutdown "
-              "rejections\n",
+              "deadline-expired (server), %llu shed\n",
               static_cast<unsigned long long>(faults_injected),
               static_cast<unsigned long long>(robust.retries),
               static_cast<unsigned long long>(robust.quarantines),
@@ -271,7 +270,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(robust.staging_faults),
               static_cast<unsigned long long>(robust.deadline_exceeded),
               static_cast<unsigned long long>(server.deadline_expirations()),
-              static_cast<unsigned long long>(server.shed_requests()),
-              static_cast<unsigned long long>(robust.shutdown_rejections));
+              static_cast<unsigned long long>(server.shed_requests()));
   return 0;
 }

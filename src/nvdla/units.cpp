@@ -35,6 +35,159 @@ std::vector<T> unpack_planar(const CubeBuffer& cube) {
   return out;
 }
 
+// Shape of the int8 convolution kernel: a register tile of kTileK kernels x
+// kTileP output pixels of int32 accumulators, over patch and weight rows
+// widened to int16 and padded to a multiple of kTapAlign taps (the weight
+// rows with zeros). The patch rows of one block of output pixels share a
+// scratch budget of kPatchBlockBytes, so the patch scratch is bounded
+// whatever the layer size.
+constexpr std::size_t kTileK = 4;
+constexpr std::size_t kTileP = 2;
+constexpr std::size_t kTapAlign = 16;
+constexpr std::size_t kPatchBlockBytes = std::size_t{128} << 10;
+/// Patch rows are assembled from runs of S image samples, copied in
+/// fixed-size chunks that may overrun a run by up to kChunk - 1 samples.
+constexpr std::size_t kChunk = 8;
+
+/// sum[t][u] = Σ_i w[t·pitch + i] · p[u·pitch + i] over `pitch` taps (a
+/// multiple of kTapAlign). int16·int16 products accumulate in int32, which
+/// the vectorizer lowers to multiply-add pairs; the eight accumulators
+/// stay in registers for the whole row.
+void dot_tile(const std::int16_t* w, const std::int16_t* p, std::size_t pitch,
+              std::int32_t (&sum)[kTileK][kTileP]) {
+  const std::int16_t* w0 = w;
+  const std::int16_t* w1 = w0 + pitch;
+  const std::int16_t* w2 = w1 + pitch;
+  const std::int16_t* w3 = w2 + pitch;
+  const std::int16_t* p0 = p;
+  const std::int16_t* p1 = p0 + pitch;
+  std::int32_t s00 = 0, s01 = 0, s10 = 0, s11 = 0;
+  std::int32_t s20 = 0, s21 = 0, s30 = 0, s31 = 0;
+  for (std::size_t i = 0; i < pitch; ++i) {
+    s00 += w0[i] * p0[i];
+    s01 += w0[i] * p1[i];
+    s10 += w1[i] * p0[i];
+    s11 += w1[i] * p1[i];
+    s20 += w2[i] * p0[i];
+    s21 += w2[i] * p1[i];
+    s30 += w3[i] * p0[i];
+    s31 += w3[i] * p1[i];
+  }
+  sum[0][0] = s00;
+  sum[0][1] = s01;
+  sum[1][0] = s10;
+  sum[1][1] = s11;
+  sum[2][0] = s20;
+  sum[2][1] = s21;
+  sum[3][0] = s30;
+  sum[3][1] = s31;
+}
+
+/// The int8 fast path. The input is unpacked once per call into an int16
+/// image per channel, [c][y][x], with the padding border already filled
+/// with pad_value, so a patch row — taps in the weight blob's [c][r][s]
+/// order — is C·R straight runs of S samples with no bounds checks. Per
+/// group, patch rows are built for a block of output pixels, then every
+/// kernel of the group runs over the block, kTileK kernels x kTileP pixels
+/// at a time; a tile that is not full computes on spare rows whose results
+/// are never stored. Requires sums that fit int32.
+void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
+                     const std::int8_t* wt, ConvAccumulators& acc) {
+  const SurfaceDesc& d = input.desc();
+  const std::size_t C = op.kernel_c;
+  const std::size_t R = op.kernel_h;
+  const std::size_t S = op.kernel_w;
+  const std::size_t G = std::max(1u, op.groups);
+  const std::size_t k_per_group = op.kernel_k / G;
+  const std::size_t crs = C * R * S;
+  const std::size_t pitch = (crs + kTapAlign - 1) / kTapAlign * kTapAlign;
+  const std::size_t outs = static_cast<std::size_t>(op.out_h) * op.out_w;
+  if (outs == 0) return;
+
+  // Padded image: exactly the rows and columns the output windows cover.
+  const std::size_t img_h = (op.out_h - 1) * std::size_t{op.stride_y} + R;
+  const std::size_t img_w = (op.out_w - 1) * std::size_t{op.stride_x} + S;
+  const std::size_t plane_elems = img_h * img_w;
+  // (kChunk of slack: the last run's chunk may read past the last plane.)
+  std::vector<std::int16_t> img(G * C * plane_elems + kChunk,
+                                static_cast<std::int16_t>(op.pad_value));
+  const std::size_t rows = std::min<std::size_t>(
+      d.dims.h, img_h > op.pad_top ? img_h - op.pad_top : 0);
+  const std::size_t cols = std::min<std::size_t>(
+      d.dims.w, img_w > op.pad_left ? img_w - op.pad_left : 0);
+  const std::uint8_t* bytes = input.bytes().data();
+  for (std::size_t ch = 0; ch < G * C; ++ch) {
+    const std::uint8_t* plane =
+        bytes + d.offset_of(static_cast<std::uint32_t>(ch), 0, 0);
+    for (std::size_t y = 0; y < rows; ++y) {
+      const std::uint8_t* e = plane + y * d.line_stride;
+      std::int16_t* out = img.data() + ch * plane_elems +
+                          (y + op.pad_top) * img_w + op.pad_left;
+      for (std::size_t x = 0; x < cols; ++x) {
+        out[x] = static_cast<std::int8_t>(e[x * d.atom_bytes]);
+      }
+    }
+  }
+
+  // Split the pixels into equal blocks that fit the scratch budget, so a
+  // small remainder block never re-widens the weights for a few pixels.
+  const std::size_t max_block =
+      std::max(kTileP, kPatchBlockBytes / (pitch * sizeof(std::int16_t)));
+  const std::size_t blocks = (outs + max_block - 1) / max_block;
+  const std::size_t block =
+      ((outs + blocks - 1) / blocks + kTileP - 1) / kTileP * kTileP;
+  // (kChunk of slack: the last row's last chunk may overrun its pitch.)
+  std::vector<std::int16_t> patch(block * pitch + kChunk, 0);
+  std::vector<std::int16_t> wtile(kTileK * pitch, 0);
+
+  for (std::size_t g = 0; g < G; ++g) {
+    const std::int16_t* img_g = img.data() + g * C * plane_elems;
+    const std::size_t k_begin = g * k_per_group;
+    const std::size_t k_end = k_begin + k_per_group;
+    for (std::size_t p_begin = 0; p_begin < outs; p_begin += block) {
+      const std::size_t n = std::min(block, outs - p_begin);
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t p = p_begin + j;
+        const std::int16_t* window =
+            img_g + (p / op.out_w) * op.stride_y * img_w +
+            (p % op.out_w) * op.stride_x;
+        // Runs are written in order, so each chunk's overrun is rewritten
+        // by the next run. The last one spills into the row's tail (or the
+        // next row's head): the tail taps meet zero weights, so they never
+        // need clearing.
+        std::int16_t* row = patch.data() + j * pitch;
+        for (std::size_t c = 0; c < C; ++c, window += plane_elems) {
+          for (std::size_t r = 0; r < R; ++r, row += S) {
+            // The first chunk is unconditional: written as one loop over
+            // chunks, the copy gets lowered to a memcpy call per run.
+            const std::int16_t* run = window + r * img_w;
+            std::memcpy(row, run, kChunk * sizeof(std::int16_t));
+            for (std::size_t s = kChunk; s < S; s += kChunk) {
+              std::memcpy(row + s, run + s, kChunk * sizeof(std::int16_t));
+            }
+          }
+        }
+      }
+      for (std::size_t k0 = k_begin; k0 < k_end; k0 += kTileK) {
+        const std::size_t nk = std::min(kTileK, k_end - k0);
+        for (std::size_t t = 0; t < nk; ++t) {
+          std::copy_n(wt + (k0 + t) * crs, crs, wtile.data() + t * pitch);
+        }
+        for (std::size_t j = 0; j < n; j += kTileP) {
+          std::int32_t sum[kTileK][kTileP];
+          dot_tile(wtile.data(), patch.data() + j * pitch, pitch, sum);
+          const std::size_t np = std::min(kTileP, n - j);
+          for (std::size_t t = 0; t < nk; ++t) {
+            std::int32_t* out =
+                acc.i32.data() + (k0 + t) * outs + p_begin + j;
+            for (std::size_t u = 0; u < np; ++u) out[u] = sum[t][u];
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -83,100 +236,24 @@ ConvAccumulators conv_execute(const ConvOp& op, const CubeBuffer& input,
   };
 
   if (op.precision == Precision::kInt8) {
-    const std::vector<std::int8_t> in = unpack_planar<std::int8_t>(input);
     const auto* wt = reinterpret_cast<const std::int8_t*>(weights.data());
     acc.i32.assign(static_cast<std::size_t>(K) * op.out_h * op.out_w, 0);
     // Integer accumulation is freely reassociable, so the int8 path can
     // restructure its loops for throughput while staying bit-identical to
-    // the reference order. Partial sums fit int32 as long as the tap count
-    // cannot push |Σ in·w| past 2^31 (taps · 128·128 < 2^31): every real
-    // layer qualifies; the generic int64 walk below is the fallback.
-    // (pad_value is an input-domain sample in every real configuration;
-    // anything wider falls back to the int64 walk.)
+    // the reference order. int8·int8 products fit int16·int16→int32, and
+    // partial sums fit int32 as long as the tap count cannot push
+    // |Σ in·w| past 2^31 (taps · 128·128 < 2^31): every real layer
+    // qualifies; the int64 reference walk below is the fallback. (pad_value
+    // is an input-domain sample in every real configuration; anything wider
+    // falls back to the reference walk too.)
     const std::uint64_t taps = static_cast<std::uint64_t>(C) * R * S;
     const bool i32_safe = taps < (1ull << 31) / (128ull * 128ull) &&
                           op.pad_value >= -128 && op.pad_value <= 127;
-    const bool fully_covered_1x1_out =
-        op.out_w == 1 && op.out_h == 1 && op.pad_left == 0 &&
-        op.pad_top == 0 && R == in_h && S == in_w;
-    if (i32_safe && fully_covered_1x1_out) {
-      // Fully-connected shape (the whole input cube is one kernel window,
-      // no padding): both the planar input slice and the weight row are
-      // contiguous, so each output is a straight dot product.
-      const std::size_t len = static_cast<std::size_t>(C) * R * S;
-      for (std::uint32_t k = 0; k < K; ++k) {
-        const std::int8_t* a =
-            in.data() + static_cast<std::size_t>((k / k_per_group)) * C * R * S;
-        const std::int8_t* b = wt + static_cast<std::size_t>(k) * len;
-        std::int32_t sum = 0;
-        for (std::size_t i = 0; i < len; ++i) {
-          sum += static_cast<std::int32_t>(a[i]) * b[i];
-        }
-        acc.i32[acc.index(k, 0, 0)] = saturate_i32(sum);
-      }
-    } else if (i32_safe &&
-               static_cast<std::uint64_t>(taps) * op.out_h * op.out_w <=
-                   (16u << 20)) {
-      // im2col: materialize one contiguous row of taps per output pixel —
-      // padding becomes pad_value samples (guaranteed to fit int8 by the
-      // i32_safe guard) — so every (kernel, output) pair reduces to a
-      // straight dot product of two contiguous int8 rows, which the
-      // compiler vectorizes. The patch matrix is built once per group and
-      // shared by all of the group's kernels; its size is capped above
-      // (16 MiB) to bound staging memory on degenerate shapes.
-      const std::size_t crs = static_cast<std::size_t>(C) * R * S;
-      const std::size_t outs =
-          static_cast<std::size_t>(op.out_h) * op.out_w;
-      std::vector<std::int8_t> col(crs * outs);
-      const auto pad = static_cast<std::int8_t>(op.pad_value);
-      for (std::uint32_t g = 0; g < G; ++g) {
-        const std::uint32_t c_base = g * C;
-        for (std::uint32_t oy = 0; oy < op.out_h; ++oy) {
-          const std::int64_t iy0 =
-              static_cast<std::int64_t>(oy) * op.stride_y - op.pad_top;
-          for (std::uint32_t ox = 0; ox < op.out_w; ++ox) {
-            const std::int64_t ix0 =
-                static_cast<std::int64_t>(ox) * op.stride_x - op.pad_left;
-            std::int8_t* crow =
-                col.data() +
-                (static_cast<std::size_t>(oy) * op.out_w + ox) * crs;
-            for (std::uint32_t c = 0; c < C; ++c) {
-              for (std::uint32_t r = 0; r < R; ++r) {
-                const std::int64_t iy = iy0 + r;
-                if (iy < 0 || iy >= in_h) {
-                  for (std::uint32_t s = 0; s < S; ++s) *crow++ = pad;
-                  continue;
-                }
-                const std::int8_t* in_row =
-                    in.data() +
-                    in_index(c_base + c, static_cast<std::uint32_t>(iy), 0);
-                for (std::uint32_t s = 0; s < S; ++s) {
-                  const std::int64_t ix = ix0 + s;
-                  *crow++ = (ix < 0 || ix >= in_w)
-                                ? pad
-                                : in_row[ix];
-                }
-              }
-            }
-          }
-        }
-        for (std::uint32_t k = g * k_per_group; k < (g + 1) * k_per_group;
-             ++k) {
-          const std::int8_t* w_row = wt + static_cast<std::size_t>(k) * crs;
-          std::int32_t* acc_row =
-              acc.i32.data() + acc.index(k, 0, 0);
-          for (std::size_t j = 0; j < outs; ++j) {
-            const std::int8_t* crow = col.data() + j * crs;
-            std::int32_t sum = 0;
-            for (std::size_t i = 0; i < crs; ++i) {
-              sum += static_cast<std::int32_t>(crow[i]) * w_row[i];
-            }
-            acc_row[j] = saturate_i32(sum);
-          }
-        }
-      }
+    if (i32_safe) {
+      conv_int8_tiled(op, input, wt, acc);
     } else {
-      // Reference walk (kept for pathological tap counts): int64 sums,
+      const std::vector<std::int8_t> in = unpack_planar<std::int8_t>(input);
+      // Reference walk (the fallback for the shapes above): int64 sums,
       // output element by output element.
       for (std::uint32_t k = 0; k < K; ++k) {
         const std::uint32_t c_base = (k / k_per_group) * C;
@@ -293,57 +370,63 @@ void sdp_execute(const SdpOp& op, const ConvAccumulators* acc,
     // with hoisted surface offsets — the packed-atom div/mod runs once per
     // channel instead of once per element — and fold a disabled bias into
     // a zero addend. Identical arithmetic to the per-element reference
-    // walk in the FP16 branch below.
+    // walk in the FP16 branch below. The per-op parameters are copied into
+    // locals: the output stores are byte stores, which may alias anything,
+    // so fields read through `op` and the descriptors would otherwise be
+    // reloaded after every element.
     const SurfaceDesc& dst = out.desc();
     std::uint8_t* out_bytes = out.bytes().data();
     const std::uint8_t* src_bytes =
         src != nullptr ? src->bytes().data() : nullptr;
+    const std::uint64_t dst_atom = dst.atom_bytes;
+    const std::uint64_t src_atom = src != nullptr ? src->desc().atom_bytes : 0;
+    const std::uint64_t elt_atom = elt_desc.atom_bytes;
+    const std::int64_t cvt_scale = op.cvt_scale;
+    const std::uint32_t cvt_shift = op.cvt_shift;
+    const std::int64_t rounding =
+        cvt_shift > 0 ? std::int64_t{1} << (cvt_shift - 1) : 0;
+    const bool eltwise_enable = op.eltwise_enable;
+    const bool relu_enable = op.relu_enable;
     for (std::uint32_t k = 0; k < K; ++k) {
       const std::int64_t bias =
           (op.bias_enable && bias_i32 != nullptr) ? bias_i32[k] : 0;
       const std::uint64_t dst_k = dst.offset_of(k, 0, 0);
       const std::uint64_t elt_k =
-          op.eltwise_enable ? elt_desc.offset_of(k, 0, 0) : 0;
+          eltwise_enable ? elt_desc.offset_of(k, 0, 0) : 0;
       const std::uint64_t src_k =
           src != nullptr ? src->desc().offset_of(k, 0, 0) : 0;
       for (std::uint32_t y = 0; y < op.dims.h; ++y) {
         const std::int32_t* acc_row =
             acc != nullptr ? acc->i32.data() + acc->index(k, y, 0) : nullptr;
-        const std::uint64_t dst_row = dst_k + static_cast<std::uint64_t>(y) *
-                                                  dst.line_stride;
-        const std::uint64_t elt_row =
-            elt_k + static_cast<std::uint64_t>(y) * elt_desc.line_stride;
-        const std::uint64_t src_row =
-            src != nullptr ? src_k + static_cast<std::uint64_t>(y) *
-                                         src->desc().line_stride
-                           : 0;
+        std::uint8_t* dst_row =
+            out_bytes + dst_k + static_cast<std::uint64_t>(y) * dst.line_stride;
+        const std::uint8_t* elt_row =
+            eltwise_enable
+                ? eltwise.data() + elt_k +
+                      static_cast<std::uint64_t>(y) * elt_desc.line_stride
+                : nullptr;
+        const std::uint8_t* src_row =
+            src != nullptr ? src_bytes + src_k +
+                                 static_cast<std::uint64_t>(y) *
+                                     src->desc().line_stride
+                           : nullptr;
         for (std::uint32_t x = 0; x < op.dims.w; ++x) {
           std::int64_t value =
               acc_row != nullptr
                   ? acc_row[x]
-                  : static_cast<std::int8_t>(
-                        src_bytes[src_row +
-                                  static_cast<std::uint64_t>(x) *
-                                      src->desc().atom_bytes]);
+                  : static_cast<std::int8_t>(src_row[x * src_atom]);
           value += bias;
           // Output converter into the INT8 output scale, with rounding.
-          if (op.cvt_shift > 0) {
-            const std::int64_t scaled = value * op.cvt_scale;
-            const std::int64_t rounding = 1ll << (op.cvt_shift - 1);
-            value = (scaled + (scaled >= 0 ? rounding : -rounding)) >>
-                    op.cvt_shift;
-          } else {
-            value *= op.cvt_scale;
+          // (Branch-free: the signs of real activations are random, so
+          // data-dependent branches here would mispredict half the time.)
+          const std::int64_t scaled = value * cvt_scale;
+          const std::int64_t sign = scaled >> 63;  // 0 or -1
+          value = (scaled + ((rounding ^ sign) - sign)) >> cvt_shift;
+          if (eltwise_enable) {
+            value += static_cast<std::int8_t>(elt_row[x * elt_atom]);
           }
-          if (op.eltwise_enable) {
-            value += static_cast<std::int8_t>(
-                eltwise[elt_row +
-                        static_cast<std::uint64_t>(x) * elt_desc.atom_bytes]);
-          }
-          if (op.relu_enable && value < 0) value = 0;
-          out_bytes[dst_row + static_cast<std::uint64_t>(x) *
-                                  dst.atom_bytes] =
-              static_cast<std::uint8_t>(saturate_i8(value));
+          if (relu_enable) value = std::max<std::int64_t>(value, 0);
+          dst_row[x * dst_atom] = static_cast<std::uint8_t>(saturate_i8(value));
         }
       }
     }

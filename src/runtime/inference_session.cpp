@@ -156,10 +156,6 @@ InferenceSession::InferenceSession(compiler::Network network,
 }
 
 InferenceSession::~InferenceSession() {
-  // Flag teardown first: queued tasks still waiting on an unresolved
-  // staging latch observe it and resolve their PendingResult with a typed
-  // kUnavailable instead of relying on drain ordering.
-  shutting_down_.store(true, std::memory_order_release);
   // Detach from the check-in hooks before anything else dies: holding the
   // state mutex waits out any hook mid-call, and hooks firing afterwards
   // (the pool drain during member destruction, or schedules the caller
@@ -278,8 +274,6 @@ RobustnessCounters InferenceSession::robustness() const {
   snapshot.data_loss = robust_.data_loss.load(std::memory_order_relaxed);
   snapshot.staging_faults =
       robust_.staging_faults.load(std::memory_order_relaxed);
-  snapshot.shutdown_rejections =
-      robust_.shutdown_rejections.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -1240,18 +1234,6 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
   // Deadline gate 1: dequeue. A request that aged out in the pool queue is
   // shed here without paying for an execution nobody is waiting for.
   if (expired()) return deadline_error("waiting in the pool queue");
-  // Teardown gate: at session shutdown a request still queued behind an
-  // unresolved staging latch answers a typed error instead of relying on
-  // drain ordering.
-  if (shutting_down_.load(std::memory_order_acquire) &&
-      source.latch != nullptr &&
-      source.done.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    ++robust_.shutdown_rejections;
-    return Status(StatusCode::kUnavailable,
-                  "session is shutting down; the request was still queued "
-                  "behind its model's staging latch");
-  }
 
   core::PreparedModel prepared;
   bool ready = false;

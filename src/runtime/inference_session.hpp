@@ -206,7 +206,6 @@ struct RobustnessCounters {
   std::uint64_t data_loss = 0;          ///< corruption detections observed
   std::uint64_t staging_faults = 0;     ///< failed staging tasks (injected
                                         ///< or real) surfaced through latches
-  std::uint64_t shutdown_rejections = 0;  ///< requests typed out at teardown
 };
 
 /// Per-variant serving statistics (one row per distinct (model, canonical
@@ -612,7 +611,6 @@ class InferenceSession {
     std::atomic<std::uint64_t> deadline_exceeded{0};
     std::atomic<std::uint64_t> data_loss{0};
     std::atomic<std::uint64_t> staging_faults{0};
-    std::atomic<std::uint64_t> shutdown_rejections{0};
   };
 
   /// One registered model's full staged-artifact state. Nodes are
@@ -852,10 +850,6 @@ class InferenceSession {
   /// Session-level fault injector (null = no plan); tasks capture their
   /// own shared_ptr copy at enqueue.
   std::shared_ptr<fault::Injector> session_fault_ GUARDED_BY(submit_mutex_);
-  /// Flipped at the top of ~InferenceSession: queued tasks still waiting
-  /// on an unresolved staging latch resolve their PendingResult with a
-  /// typed kUnavailable instead of racing the drain.
-  std::atomic<bool> shutting_down_{false};
   /// Shared with every installed check-in hook; see ReplayCheckinState.
   /// Set once in the constructor, immutable after — unannotated.
   std::shared_ptr<ReplayCheckinState> checkin_state_;

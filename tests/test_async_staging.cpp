@@ -499,6 +499,11 @@ TEST(ElasticPool, BatchHintIsClampedToTheBatchSize) {
   const auto images = synthetic_batch(session.network(), 2, 6800);
   BatchOptions options;
   options.workers = 8;  // used to spawn 8 threads for a 2-image batch
+  // Pin the growth cap at the batch size: queue pressure may otherwise
+  // legitimately grow the pool past the initial spawn (up to the hardware
+  // thread count) on a loaded host. The cap can never be lowered below
+  // the live worker count, so an unclamped hint still reads 8 here.
+  options.max_workers = 2;
   const auto results = session.run_batch_parallel("vp", images, options);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   EXPECT_EQ(session.pool_worker_count(), 2u)
@@ -542,6 +547,9 @@ TEST(ReplayArenas, ConcurrentPooledReplaysCheckOutAtMostOneArenaEach) {
   InferenceSession session(models::lenet5());
   BatchOptions options;
   options.workers = 2;
+  // Pin the concurrency the bound below is about: queue pressure on a
+  // loaded host may otherwise grow the pool past two workers.
+  options.max_workers = 2;
   const auto parallel = session.run_batch_parallel("vp", images, options);
   ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
 

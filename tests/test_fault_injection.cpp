@@ -3,8 +3,8 @@
 // surfaces on each backend, integrity canaries (replay-schedule checksum +
 // golden-image probe) with quarantine and bit-exact restage, bounded
 // retry, session/server deadlines, overload shedding, client timeouts,
-// teardown typed errors, and a chaos run that keeps the TCP server up
-// under a standing fault plan. Runs under the ThreadSanitizer CI job.
+// and a chaos run that keeps the TCP server up under a standing fault
+// plan. Runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -608,46 +608,6 @@ TEST(ClientTimeout, UnresponsiveConnectNeverHangs) {
         << connected.to_string();
   }
   ::close(listener);
-}
-
-// ---------------------------------------------------------------------------
-// Teardown: queued requests resolve with a typed error, never a hang
-// ---------------------------------------------------------------------------
-
-TEST(Teardown, RequestQueuedBehindStagingLatchGetsTypedError) {
-  runtime::BackendRegistry registry;
-  ASSERT_TRUE(registry.add(std::make_unique<SleepyBackend>()).is_ok());
-  const auto image = synthetic_image(9900);
-  const std::size_t elems = models::lenet5().input_shape().elements();
-
-  runtime::PendingResult queued;
-  {
-    InferenceSession session(models::lenet5(), {}, &registry);
-    ASSERT_TRUE(
-        session.register_model("lenet5_b", models::lenet5()).is_ok());
-    // Pin the pool at exactly two workers, then clog both with sleeps so
-    // the second model's staging task and run task stay queued.
-    std::vector<float> nap(elems, 0.0f);
-    nap[0] = 5.0f;
-    ASSERT_TRUE(session
-                    .run_batch_parallel("sleepy", {nap, nap},
-                                        {.workers = 2, .max_workers = 2})
-                    .is_ok());
-    std::vector<float> doze(elems, 0.0f);
-    doze[0] = 300.0f;
-    auto clog_a = session.submit("sleepy", doze);
-    auto clog_b = session.submit("sleepy", doze);
-    queued = session.submit("sleepy?model=lenet5_b", image);
-    // Destroying the session now drains: the two sleeps finish, one worker
-    // picks up lenet5_b's staging (a full VP trace), and the other
-    // dequeues the queued request mid-teardown while the latch is still
-    // unresolved — which must resolve it with a typed error, not a hang.
-  }
-  auto result = queued.get();
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(result.status().to_string().find("shutting down"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 // NVDLA functional-unit tests: convolution / SDP / PDP / CDP math against
-// naive references, INT8 and FP16 paths, grouped convolution, and cycle
-// model properties.
+// naive references, INT8 and FP16 paths, grouped convolution, a seeded
+// differential sweep of the int8 conv kernel, and cycle model properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "common/bitutil.hpp"
 #include "common/fp16.hpp"
 #include "common/rng.hpp"
+#include "common/strfmt.hpp"
+#include "compiler/network.hpp"
+#include "models/models.hpp"
 #include "nvdla/ops.hpp"
 
 namespace nvsoc::nvdla {
@@ -180,6 +187,268 @@ TEST(Conv, Fp16PathAccumulatesInFloat) {
                                   0.25f * (-1.0f) + 4.0f * 0.25f);
 }
 
+// ---------------------------------------------------------------------------
+// Differential sweep: the int8 conv kernel against a naive int64 reference
+// ---------------------------------------------------------------------------
+
+/// Naive reference: one int64 sum per output, taps outside the input read
+/// pad_value, saturated to int32 like the accumulator.
+std::vector<std::int32_t> naive_conv_i8(const ConvOp& op,
+                                        const CubeBuffer& input,
+                                        std::span<const std::uint8_t> weights) {
+  const CubeDims& in = input.desc().dims;
+  // Each input plane framed by pad_value cells, so the tap loop below
+  // needs no bounds checks.
+  const std::size_t pw = in.w + op.pad_left + op.pad_right + op.kernel_w;
+  const std::size_t ph = in.h + op.pad_top + op.pad_bottom + op.kernel_h;
+  std::vector<std::int64_t> padded(in.c * ph * pw, op.pad_value);
+  for (std::uint32_t c = 0; c < in.c; ++c) {
+    for (std::uint32_t y = 0; y < in.h; ++y) {
+      for (std::uint32_t x = 0; x < in.w; ++x) {
+        padded[(c * ph + y + op.pad_top) * pw + x + op.pad_left] =
+            input.get_i8(c, y, x);
+      }
+    }
+  }
+  const std::uint32_t G = std::max(1u, op.groups);
+  const std::uint32_t k_per_group = op.kernel_k / G;
+  const auto* wt = reinterpret_cast<const std::int8_t*>(weights.data());
+  std::vector<std::int32_t> out;
+  out.reserve(static_cast<std::size_t>(op.kernel_k) * op.out_h * op.out_w);
+  for (std::uint32_t k = 0; k < op.kernel_k; ++k) {
+    const std::uint32_t c_base = (k / k_per_group) * op.kernel_c;
+    for (std::uint32_t oy = 0; oy < op.out_h; ++oy) {
+      for (std::uint32_t ox = 0; ox < op.out_w; ++ox) {
+        std::int64_t sum = 0;
+        const std::int8_t* w =
+            wt + static_cast<std::size_t>(k) * op.kernel_c * op.kernel_h *
+                     op.kernel_w;
+        for (std::uint32_t c = 0; c < op.kernel_c; ++c) {
+          for (std::uint32_t r = 0; r < op.kernel_h; ++r) {
+            const std::int64_t* row =
+                padded.data() +
+                ((c_base + c) * ph + oy * op.stride_y + r) * pw +
+                ox * op.stride_x;
+            for (std::uint32_t s = 0; s < op.kernel_w; ++s) {
+              sum += row[s] * *w++;
+            }
+          }
+        }
+        out.push_back(saturate_i32(sum));
+      }
+    }
+  }
+  return out;
+}
+
+struct SweepCase {
+  std::string label;
+  CubeDims in;
+  ConvOp op;  ///< op.input is filled in by run_sweep_case
+  std::uint32_t atom = 8;
+  std::uint32_t line_gap = 0;  ///< extra bytes per line
+  std::uint32_t surf_gap = 0;  ///< extra bytes per surface
+};
+
+std::string describe(const SweepCase& sc, std::uint64_t seed) {
+  const ConvOp& op = sc.op;
+  return strfmt(
+      "seed {} {}: in {}x{}x{} (atom {}, line gap {}, surf gap {}) "
+      "k {} c {} r {} s {} groups {} stride {}x{} pad l{} t{} r{} b{} "
+      "pad_value {} out {}x{}",
+      seed, sc.label, sc.in.w, sc.in.h, sc.in.c, sc.atom, sc.line_gap,
+      sc.surf_gap, op.kernel_k, op.kernel_c, op.kernel_h, op.kernel_w,
+      op.groups, op.stride_x, op.stride_y, op.pad_left, op.pad_top,
+      op.pad_right, op.pad_bottom, op.pad_value, op.out_w, op.out_h);
+}
+
+/// Fill the case with seeded data (`extreme` pins every input and weight
+/// to -128, the largest product), run both paths and report the first
+/// mismatch with the seed and shape.
+void run_sweep_case(SweepCase sc, std::uint64_t seed, bool extreme = false) {
+  Rng rng(seed);
+  SurfaceDesc desc = SurfaceDesc::packed(0, sc.in, Precision::kInt8, sc.atom);
+  desc.line_stride += sc.line_gap;
+  desc.surf_stride = desc.line_stride * sc.in.h + sc.surf_gap;
+  CubeBuffer input(desc);
+  for (auto& b : input.bytes()) {
+    b = static_cast<std::uint8_t>(extreme ? -128 : rng.next_range(-128, 127));
+  }
+  ConvOp& op = sc.op;
+  op.precision = Precision::kInt8;
+  op.input = desc;
+  std::vector<std::uint8_t> weights(static_cast<std::size_t>(op.kernel_k) *
+                                    op.kernel_c * op.kernel_h * op.kernel_w);
+  for (auto& w : weights) {
+    w = static_cast<std::uint8_t>(extreme ? -128 : rng.next_range(-128, 127));
+  }
+  op.weight_bytes = static_cast<std::uint32_t>(weights.size());
+
+  const ConvAccumulators acc = conv_execute(op, input, weights);
+  const std::vector<std::int32_t> want = naive_conv_i8(op, input, weights);
+  ASSERT_EQ(acc.i32.size(), want.size()) << describe(sc, seed);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (acc.i32[i] != want[i]) {
+      const std::size_t plane = static_cast<std::size_t>(op.out_h) * op.out_w;
+      ADD_FAILURE() << describe(sc, seed) << ": first mismatch at k "
+                    << i / plane << " y " << i % plane / op.out_w << " x "
+                    << i % op.out_w << ": " << acc.i32[i] << " != "
+                    << want[i];
+      return;
+    }
+  }
+}
+
+/// Every conv and inner-product layer of `net`, lowered the way the
+/// compiler lowers it (an inner product is a conv whose kernel covers the
+/// whole input plane). `max_plane` crops the input plane (kernel, stride
+/// and padding kept) so the naive reference stays cheap on large models;
+/// duplicate shapes are dropped.
+std::vector<SweepCase> model_conv_cases(const compiler::Network& net,
+                                        std::uint32_t max_plane) {
+  std::vector<SweepCase> cases;
+  std::set<std::string> seen;
+  for (const compiler::Layer& layer : net.layers()) {
+    if (layer.kind != compiler::LayerKind::kConvolution &&
+        layer.kind != compiler::LayerKind::kInnerProduct) {
+      continue;
+    }
+    const compiler::BlobShape& in = net.blob_shape(layer.bottoms.at(0));
+    SweepCase sc;
+    sc.label = net.name() + "/" + layer.name;
+    ConvOp& op = sc.op;
+    op.kernel_k = layer.conv.num_output;
+    if (layer.kind == compiler::LayerKind::kInnerProduct) {
+      sc.in = {in.w, in.h, in.c};
+      op.kernel_h = in.h;
+      op.kernel_w = in.w;
+      op.kernel_c = in.c;
+      op.out_w = op.out_h = 1;
+    } else {
+      const compiler::ConvParams& p = layer.conv;
+      sc.in = {std::min(in.w, max_plane), std::min(in.h, max_plane), in.c};
+      op.kernel_h = p.kernel_h;
+      op.kernel_w = p.kernel_w;
+      op.kernel_c = in.c / p.groups;
+      op.groups = p.groups;
+      op.stride_x = p.stride_w;
+      op.stride_y = p.stride_h;
+      op.pad_left = op.pad_right = p.pad_w;
+      op.pad_top = op.pad_bottom = p.pad_h;
+      op.out_w = (sc.in.w + 2 * p.pad_w - p.kernel_w) / p.stride_w + 1;
+      op.out_h = (sc.in.h + 2 * p.pad_h - p.kernel_h) / p.stride_h + 1;
+    }
+    SweepCase key = sc;
+    key.label.clear();
+    if (seen.insert(describe(key, 0)).second) cases.push_back(sc);
+  }
+  return cases;
+}
+
+TEST(ConvSweep, ModelShapesMatchTheNaiveReference) {
+  struct Model {
+    compiler::Network (*build)();
+    std::uint32_t max_plane;
+  };
+  // LeNet-5 and ResNet-18 run at full size (ResNet-18's largest layers
+  // span more than one pixel block); ResNet-50's planes are cropped to
+  // 7x7 (their size in the last stage), which keeps every channel,
+  // kernel, stride and padding.
+  const Model models[] = {{models::lenet5, 1u << 16},
+                          {models::resnet18_cifar, 1u << 16},
+                          {models::resnet50, 7}};
+  std::uint64_t seed = 1000;
+  std::size_t cases = 0;
+  for (const Model& model : models) {
+    for (const SweepCase& sc : model_conv_cases(model.build(), model.max_plane)) {
+      run_sweep_case(sc, seed++);
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 20u);
+}
+
+TEST(ConvSweep, RandomShapesMatchTheNaiveReference) {
+  // Every case draws stride, asymmetric padding, pad_value (the int8
+  // extremes included), groups (depthwise included), kernel counts that
+  // are not a multiple of 4, odd output planes and surface gaps from one
+  // seed; every fourth case is a fully-connected 1x1-output shape.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    SweepCase sc;
+    ConvOp& op = sc.op;
+    sc.label = "random";
+    sc.atom = rng.next_below(2) == 0 ? 8 : 32;
+    sc.line_gap = static_cast<std::uint32_t>(rng.next_below(3)) * sc.atom;
+    sc.surf_gap = static_cast<std::uint32_t>(rng.next_below(3)) * sc.atom;
+    const std::uint32_t groups_pick = static_cast<std::uint32_t>(rng.next_below(4));
+    const std::uint32_t c = static_cast<std::uint32_t>(rng.next_range(1, 20));
+    op.groups = groups_pick == 0 ? c : groups_pick == 1 ? 2 : 1;  // 0: depthwise
+    op.kernel_c = groups_pick == 0 ? 1 : c;
+    op.kernel_k =
+        op.groups * static_cast<std::uint32_t>(rng.next_range(1, 11));
+    sc.in.c = op.kernel_c * op.groups;
+    sc.in.w = static_cast<std::uint32_t>(rng.next_range(1, 19));
+    sc.in.h = static_cast<std::uint32_t>(rng.next_range(1, 19));
+    const std::int32_t pad_values[] = {0, 0, -128, 127,
+                                       static_cast<std::int32_t>(
+                                           rng.next_range(-128, 127))};
+    op.pad_value = pad_values[rng.next_below(5)];
+    if (seed % 4 == 0) {
+      op.kernel_w = sc.in.w;
+      op.kernel_h = sc.in.h;
+      op.out_w = op.out_h = 1;
+    } else {
+      op.kernel_w = static_cast<std::uint32_t>(rng.next_range(1, 11));
+      op.kernel_h = static_cast<std::uint32_t>(rng.next_range(1, 5));
+      op.stride_x = static_cast<std::uint32_t>(rng.next_range(1, 3));
+      op.stride_y = static_cast<std::uint32_t>(rng.next_range(1, 3));
+      op.pad_left = static_cast<std::uint32_t>(rng.next_range(0, 3));
+      op.pad_right = static_cast<std::uint32_t>(rng.next_range(0, 3));
+      op.pad_top = static_cast<std::uint32_t>(rng.next_range(0, 3));
+      op.pad_bottom = static_cast<std::uint32_t>(rng.next_range(0, 3));
+      const std::uint32_t span_w = sc.in.w + op.pad_left + op.pad_right;
+      const std::uint32_t span_h = sc.in.h + op.pad_top + op.pad_bottom;
+      if (span_w < op.kernel_w) op.kernel_w = span_w;
+      if (span_h < op.kernel_h) op.kernel_h = span_h;
+      op.out_w = (span_w - op.kernel_w) / op.stride_x + 1;
+      op.out_h = (span_h - op.kernel_h) / op.stride_y + 1;
+    }
+    run_sweep_case(sc, seed);
+  }
+}
+
+TEST(ConvSweep, TapCountsAroundTheInt32LimitMatchTheNaiveReference) {
+  // 2^31 / (128·128) = 131072 taps is the first count the int32 fast path
+  // refuses. One tap below it, all-(-128) data drives the sum to its
+  // largest magnitude; at the limit the int64 reference walk takes over
+  // (and saturates), as it does for pad values outside int8.
+  for (const std::uint32_t taps : {131071u, 131072u}) {
+    SweepCase sc;
+    sc.label = strfmt("taps {}", taps);
+    sc.in = {1, 1, taps};
+    sc.op.kernel_w = sc.op.kernel_h = 1;
+    sc.op.kernel_c = taps;
+    sc.op.kernel_k = 3;
+    sc.op.out_w = sc.op.out_h = 1;
+    run_sweep_case(sc, 7, /*extreme=*/true);
+    run_sweep_case(sc, 8);
+  }
+  for (const std::int32_t pad_value : {-129, 128, 1000}) {
+    SweepCase sc;
+    sc.label = "pad_value outside int8";
+    sc.in = {5, 4, 3};
+    sc.op.kernel_w = sc.op.kernel_h = 3;
+    sc.op.kernel_c = 3;
+    sc.op.kernel_k = 5;
+    sc.op.pad_left = sc.op.pad_top = sc.op.pad_right = sc.op.pad_bottom = 1;
+    sc.op.pad_value = pad_value;
+    sc.op.out_w = 5;
+    sc.op.out_h = 4;
+    run_sweep_case(sc, 9);
+  }
+}
+
 TEST(Sdp, BiasCvtReluPipeline) {
   ConvAccumulators acc;
   acc.k = 2;
@@ -250,6 +519,64 @@ TEST(Sdp, MemorySourceMode) {
   sdp_execute(op, nullptr, &src, {}, {}, out);
   EXPECT_EQ(out.get_i8(0, 0, 0), 0);
   EXPECT_EQ(out.get_i8(0, 1, 1), 7);
+}
+
+TEST(Sdp, Int8PipelineMatchesRoundHalfAwayFromZeroReference) {
+  // Seeded sweep of the int8 flying-mode pipeline against the converter's
+  // definition: (acc + bias) · scale, shifted right by `shift` bits after
+  // adding half an output step away from zero, then + operand, ReLU and
+  // int8 saturation. Accumulator signs are random, as in real layers.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    SdpOp op;
+    op.dims = {static_cast<std::uint32_t>(rng.next_range(1, 9)),
+               static_cast<std::uint32_t>(rng.next_range(1, 5)),
+               static_cast<std::uint32_t>(rng.next_range(1, 20))};
+    op.dst = SurfaceDesc::packed(0, op.dims, Precision::kInt8, 8);
+    op.bias_enable = rng.next_below(2) == 0;
+    op.relu_enable = rng.next_below(2) == 0;
+    op.eltwise_enable = rng.next_below(2) == 0;
+    op.operand_line_stride = op.dst.line_stride;
+    op.operand_surf_stride = op.dst.surf_stride;
+    op.cvt_scale = static_cast<std::int32_t>(rng.next_range(-40000, 40000));
+    op.cvt_shift = static_cast<std::uint32_t>(rng.next_range(0, 24));
+
+    ConvAccumulators acc;
+    acc.k = op.dims.c;
+    acc.h = op.dims.h;
+    acc.w = op.dims.w;
+    for (std::uint64_t i = 0; i < op.dims.elements(); ++i) {
+      acc.i32.push_back(
+          static_cast<std::int32_t>(rng.next_range(-2000000, 2000000)));
+    }
+    std::vector<std::int32_t> bias(op.dims.c);
+    for (auto& b : bias) {
+      b = static_cast<std::int32_t>(rng.next_range(-50000, 50000));
+    }
+    std::vector<std::uint8_t> bias_bytes(bias.size() * 4);
+    std::memcpy(bias_bytes.data(), bias.data(), bias_bytes.size());
+    CubeBuffer operand = make_cube_i8(op.dims, rng);
+
+    CubeBuffer out(op.dst);
+    sdp_execute(op, &acc, nullptr, bias_bytes, operand.bytes(), out);
+    for (std::uint32_t c = 0; c < op.dims.c; ++c) {
+      for (std::uint32_t y = 0; y < op.dims.h; ++y) {
+        for (std::uint32_t x = 0; x < op.dims.w; ++x) {
+          std::int64_t v = acc.i32[acc.index(c, y, x)];
+          if (op.bias_enable) v += bias[c];
+          v *= op.cvt_scale;
+          if (op.cvt_shift > 0) {
+            const std::int64_t half = std::int64_t{1} << (op.cvt_shift - 1);
+            v = (v + (v >= 0 ? half : -half)) >> op.cvt_shift;
+          }
+          if (op.eltwise_enable) v += operand.get_i8(c, y, x);
+          if (op.relu_enable && v < 0) v = 0;
+          ASSERT_EQ(out.get_i8(c, y, x), saturate_i8(v))
+              << "seed " << seed << " at " << c << "," << y << "," << x;
+        }
+      }
+    }
+  }
 }
 
 TEST(Pdp, MaxAndAveragePooling) {

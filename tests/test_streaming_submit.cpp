@@ -8,9 +8,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <type_traits>
+
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "models/models.hpp"
 #include "runtime/backend_registry.hpp"
@@ -37,6 +44,24 @@ std::vector<std::vector<float>> synthetic_batch(const compiler::Network& net,
   }
   return images;
 }
+
+#if defined(__linux__)
+/// Kernel thread id of the calling thread.
+long current_tid() { return syscall(SYS_gettid); }
+
+/// True while thread `tid` of this process is asleep in a blocking wait
+/// (state 'S' in /proc/self/task/<tid>/stat).
+bool thread_is_asleep(long tid) {
+  std::ifstream stat("/proc/self/task/" + std::to_string(tid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  // "<tid> (<comm>) <state> ...": comm may itself hold spaces or
+  // parentheses, so the state is the field after the last ')'.
+  const std::size_t close = line.rfind(')');
+  return close != std::string::npos && close + 2 < line.size() &&
+         line[close + 2] == 'S';
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // ThreadPool::submit
@@ -343,9 +368,13 @@ TEST(Submit, CancelReadyRevokesTheCompletionHook) {
   empty.cancel_ready();
 }
 
+// The drain contract (README "Shutdown"): destroying the session drains
+// in-flight work, so every PendingResult handed out completes — including
+// requests still queued behind a model's staging when the destructor
+// runs. Staging is a task on the same FIFO pool, queued ahead of the
+// requests that wait for it, so the drain runs it first.
 TEST(Submit, SessionDestructionDrainsInFlightWork) {
   const auto images = synthetic_batch(models::lenet5(), 5, 4800);
-  std::vector<PendingResult> pending;
   std::vector<runtime::ExecutionResult> expected;
   {
     InferenceSession oracle(models::lenet5());
@@ -355,12 +384,74 @@ TEST(Submit, SessionDestructionDrainsInFlightWork) {
       expected.push_back(std::move(r).value());
     }
   }
+
+  std::promise<void> gate;
+  runtime::BackendRegistry registry;
+  ASSERT_TRUE(registry.add(std::make_unique<runtime::VpBackend>()).is_ok());
+  ASSERT_TRUE(registry
+                  .add(std::make_unique<GatedBackend>(
+                      gate.get_future().share()))
+                  .is_ok());
+  std::vector<PendingResult> parked;
+  std::vector<PendingResult> pending;
+  std::atomic<bool> tearing_down{false};
+  // Set by the opener: whether it saw the destructor blocked in its drain
+  // before opening the gate.
+  bool opened_during_drain = false;
+  std::thread opener;
   {
-    InferenceSession session(models::lenet5());
+    InferenceSession session(models::lenet5(), {}, &registry);
+    ASSERT_TRUE(session.register_model("lenet5_b", models::lenet5()).is_ok());
+    // Stage the default model and pin the pool at exactly two workers,
+    // then park both on the gate.
+    ASSERT_TRUE(session
+                    .run_batch_parallel("vp", {images[0], images[1]},
+                                        {.workers = 2, .max_workers = 2})
+                    .is_ok());
+    for (int i = 0; i < 2; ++i) parked.push_back(session.submit("gated", images[i]));
+    // lenet5_b is not staged yet: its staging task queues behind the
+    // parked workers, and every request queues behind its staging latch.
     for (const auto& image : images) {
-      pending.push_back(session.submit("vp", image));
+      pending.push_back(session.submit("vp?model=lenet5_b", image));
     }
+    // Nothing can run until the gate opens, and the gate opens only once
+    // the destructor is draining. After tearing_down is set, this thread's
+    // first blocking wait is inside ~InferenceSession (nothing before it
+    // can block while the workers are parked), so the opener waits for
+    // this thread to fall asleep. Without /proc the ordering is
+    // best-effort: a timer that this thread normally outruns.
+#if defined(__linux__)
+    const long destroyer = current_tid();
+    opener = std::thread([&, destroyer] {
+      while (!tearing_down.load()) std::this_thread::yield();
+      const auto limit =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!thread_is_asleep(destroyer) &&
+             std::chrono::steady_clock::now() < limit) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      opened_during_drain = thread_is_asleep(destroyer);
+      gate.set_value();
+    });
+#else
+    opener = std::thread([&] {
+      while (!tearing_down.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      opened_during_drain = true;
+      gate.set_value();
+    });
+#endif
+    tearing_down.store(true);
   }  // ~InferenceSession drains the pool before any member dies
+  opener.join();
+  EXPECT_TRUE(opened_during_drain)
+      << "the gate opened before the destructor was seen draining, so the "
+         "queued-behind-staging case was not exercised";
+  for (std::size_t i = 0; i < parked.size(); ++i) {
+    auto result = parked[i].get();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(result->output, images[i]);
+  }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     auto result = pending[i].get();
     ASSERT_TRUE(result.is_ok()) << "image " << i << ": "
