@@ -74,9 +74,9 @@ int main() {
   bench::JsonReport report("batch_throughput");
 
   constexpr std::size_t kImages = 8;
-  // Floor of 2 so the pooled path is exercised (not silently degraded to
-  // run_batch) even on single-core hosts; there the speedup honestly reads
-  // ~1x and the scaling shows up on multi-core machines.
+  // Floor of 2 so the batch splits across more than one pool worker even
+  // on single-core hosts; there the speedup honestly reads ~1x and the
+  // scaling shows up on multi-core machines.
   const std::size_t workers =
       std::max<std::size_t>(2, runtime::ThreadPool::recommended_workers(kImages));
 
@@ -92,7 +92,7 @@ int main() {
     const char* backend;
     /// The functional-replay serving leg: for the simulation-backed `vp`
     /// backend the repack path replays automatically, so the full-sim
-    /// comparator is a repack-disabled session on the same backend.
+    /// comparator is a replay-disabled session on the same backend.
     const char* replay_backend;
   };
   const Case cases[] = {

@@ -117,53 +117,6 @@ std::vector<float> replay_output(const PreparedModel& prepared,
   return output;
 }
 
-PreparedModel prepare_model(const compiler::Network& network,
-                            const FlowConfig& config) {
-  PreparedModel prepared;
-  auto frontend = std::make_shared<FrontendArtifacts>();
-  frontend->model_name = network.name();
-  frontend->nvdla = config.nvdla;
-
-  // 1. Parameters and calibration input (stand-ins for the trained Caffe
-  //    model and test image, per DESIGN.md substitutions).
-  frontend->weights =
-      compiler::NetWeights::synthetic(network, config.weight_seed);
-  prepared.input =
-      compiler::synthetic_input(network.input_shape(), config.input_seed);
-
-  // 2. FP32 golden output + INT8 calibration table (future work §1).
-  compiler::ReferenceExecutor reference(network, frontend->weights);
-  prepared.reference_output = reference.run_to(prepared.input);
-  if (config.precision == nvdla::Precision::kInt8) {
-    frontend->calibration = compiler::calibrate(
-        network, frontend->weights, std::span<const float>(prepared.input));
-  }
-
-  // 3. NVDLA compilation.
-  frontend->loadable = compiler::compile(
-      network, frontend->weights,
-      config.precision == nvdla::Precision::kInt8 ? &frontend->calibration
-                                                  : nullptr,
-      compiler::CompileOptions::for_config(config.nvdla, config.precision));
-
-  // 4. Virtual-platform execution with interface tracing (Fig. 3).
-  auto tail = std::make_shared<TraceArtifacts>();
-  vp::VirtualPlatform platform(config.nvdla);
-  tail->vp = platform.run(frontend->loadable, prepared.input);
-
-  // 5. Trace -> configuration file -> assembly -> machine code (Fig. 1).
-  tail->config_file = toolflow::ConfigFile::from_trace(tail->vp.trace);
-  toolflow::AsmOptions asm_options;
-  asm_options.wait_mode = config.wait_mode;
-  tail->program =
-      toolflow::generate_program(tail->config_file, asm_options);
-
-  prepared.replay = make_replay_schedule(tail->vp);
-  prepared.frontend = std::move(frontend);
-  prepared.tail = std::move(tail);
-  return prepared;
-}
-
 vp::WeightFile PreparedModel::preload_weight_file() const {
   vp::WeightFile patched = tail->vp.weights;
   if (!vp_matches_input) {
@@ -335,7 +288,7 @@ namespace {
 /// SoC clock. The clock matters on system_top — the CDC rescales DDR
 /// latencies by the fabric/MIG clock ratio — so a re-clocked variant must
 /// record its own envelope rather than reuse another clock's cycles.
-std::string platform_key(const char* kind, const FlowConfig& config) {
+std::string platform_key(Platform platform, const FlowConfig& config) {
   // decode_cache does not change the cycle count, but the recorded envelope
   // carries the CpuStats evidence (block hits, decoded blocks) of the run
   // that produced it, so cached/uncached variants keep distinct records.
@@ -343,7 +296,8 @@ std::string platform_key(const char* kind, const FlowConfig& config) {
   // may carry injected watchdog latencies or truncated budgets, which must
   // never leak into a fault-free variant's record (or vice versa).
   return strfmt("{}|{}|wait={}|pm={}|dram={}|clk={}|dc={}|fault={}|budget={}",
-                kind, config.nvdla.name,
+                platform == Platform::kSoc ? "soc" : "system_top",
+                config.nvdla.name,
                 config.wait_mode == toolflow::WaitMode::kPoll ? "poll" : "wfi",
                 config.program_memory_bytes, config.dram_bytes,
                 config.soc_clock, config.decode_cache ? 1 : 0,
@@ -352,12 +306,22 @@ std::string platform_key(const char* kind, const FlowConfig& config) {
                 config.run_instruction_budget);
 }
 
-SocExecution replay_on_platform(
-    const PreparedModel& prepared, const FlowConfig& config, const char* kind,
-    SocExecution (*execute)(const PreparedModel&, const FlowConfig&)) {
-  const ReplaySchedule& schedule = prepared.replay_schedule();
-  SocExecution exec = schedule.platform_record(
-      platform_key(kind, config), [&] { return execute(prepared, config); });
+const SocExecution& platform_record(Platform platform,
+                                    const PreparedModel& prepared,
+                                    const FlowConfig& config) {
+  return prepared.replay_schedule().platform_record(
+      platform_key(platform, config), [&] {
+        return platform == Platform::kSoc
+                   ? execute_on_soc(prepared, config)
+                   : execute_on_system_top(prepared, config);
+      });
+}
+
+}  // namespace
+
+SocExecution replay_on(Platform platform, const PreparedModel& prepared,
+                       const FlowConfig& config) {
+  SocExecution exec = platform_record(platform, prepared, config);
   // Input-dependent results come from the functional replay; ms is
   // recomputed from the per-key recorded cycle count.
   exec.output = replay_output(prepared, config.fault.get());
@@ -366,31 +330,9 @@ SocExecution replay_on_platform(
   return exec;
 }
 
-}  // namespace
-
-SocExecution replay_on_soc(const PreparedModel& prepared,
-                           const FlowConfig& config) {
-  return replay_on_platform(prepared, config, "soc", &execute_on_soc);
-}
-
-SocExecution replay_on_system_top(const PreparedModel& prepared,
-                                  const FlowConfig& config) {
-  return replay_on_platform(prepared, config, "system_top",
-                            &execute_on_system_top);
-}
-
-void record_replay_envelope_on_soc(const PreparedModel& prepared,
-                                   const FlowConfig& config) {
-  (void)prepared.replay_schedule().platform_record(
-      platform_key("soc", config), [&] { return execute_on_soc(prepared,
-                                                               config); });
-}
-
-void record_replay_envelope_on_system_top(const PreparedModel& prepared,
-                                          const FlowConfig& config) {
-  (void)prepared.replay_schedule().platform_record(
-      platform_key("system_top", config),
-      [&] { return execute_on_system_top(prepared, config); });
+void record_replay_envelope(Platform platform, const PreparedModel& prepared,
+                            const FlowConfig& config) {
+  (void)platform_record(platform, prepared, config);
 }
 
 float max_abs_diff(std::span<const float> a, std::span<const float> b) {

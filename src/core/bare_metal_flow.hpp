@@ -1,8 +1,8 @@
-// Eager facade over the complete paper flow — the internal machinery the
-// runtime API wraps. New code should program against `src/runtime/`
-// (InferenceSession for staged/memoized preparation, BackendRegistry /
-// ExecutionBackend for execution): it adds lazy stage reuse, batching and
-// StatusOr error reporting on top of these entry points.
+// The complete paper flow as plain functions — the machinery the runtime
+// backends wrap. Callers program against `src/runtime/` (InferenceSession
+// for staged/memoized preparation, BackendRegistry / ExecutionBackend for
+// execution), which adds lazy stage reuse, batching and StatusOr error
+// reporting on top of these entry points.
 //
 // Offline (Fig. 1): network -> synthetic/trained weights -> INT8
 // calibration -> NVDLA compiler -> virtual-platform execution with CSB/DBB
@@ -12,8 +12,6 @@
 // Online (Fig. 2/4): preload DRAM with the weight file and input image,
 // load program memory with the machine code, release the µRISC-V core, and
 // read the result cube back when it hits ebreak.
-//
-// This is the API the examples and benches program against.
 #pragma once
 
 #include <atomic>
@@ -314,10 +312,6 @@ struct PreparedModel {
   vp::WeightFile preload_weight_file() const;
 };
 
-/// Run the offline generation flow (Fig. 1) end to end.
-PreparedModel prepare_model(const compiler::Network& network,
-                            const FlowConfig& config);
-
 /// Build the replay-schedule core from a freshly captured VP run, moving
 /// the recorded ops out of it (the trace core does not need them).
 std::shared_ptr<const ReplaySchedule> make_replay_schedule(
@@ -344,7 +338,13 @@ SocExecution execute_on_soc(const PreparedModel& prepared,
 SocExecution execute_on_system_top(const PreparedModel& prepared,
                                    const FlowConfig& config);
 
-/// Replay-mode execution on the SoC platforms (`?mode=replay`): the first
+/// The two SoC platforms the bare-metal program runs on.
+enum class Platform {
+  kSoc,        ///< Fig. 2: standalone SoC, internal DRAM model
+  kSystemTop,  ///< Fig. 4: Zynq-PS preload, SmartConnect, CDC, MIG DDR4
+};
+
+/// Replay-mode execution on a SoC platform (`?mode=replay`): the first
 /// call per (platform, flow) key runs the full cycle-accurate simulation
 /// and records its input-independent envelope (cycles, bus census, engine
 /// and CPU stats) on the replay schedule; every later call replays the
@@ -352,21 +352,17 @@ SocExecution execute_on_system_top(const PreparedModel& prepared,
 /// bit-identical to what a full re-run would produce, at functional-op
 /// cost. Requires has_replay() (callers fall back to the full executors
 /// otherwise).
-SocExecution replay_on_soc(const PreparedModel& prepared,
-                           const FlowConfig& config);
-SocExecution replay_on_system_top(const PreparedModel& prepared,
-                                  const FlowConfig& config);
+SocExecution replay_on(Platform platform, const PreparedModel& prepared,
+                       const FlowConfig& config);
 
 /// Eagerly record the input-independent `?mode=replay` envelope for the
-/// given platform + flow — the same record the first replay_on_* call
-/// would produce lazily. Called from staging paths (prepare_async, the
-/// backends' stage() hook) so the one full cycle-accurate recording run
-/// happens off the serving hot path instead of stalling the first pooled
-/// batch. Idempotent per (platform, flow) key; requires has_replay().
-void record_replay_envelope_on_soc(const PreparedModel& prepared,
-                                   const FlowConfig& config);
-void record_replay_envelope_on_system_top(const PreparedModel& prepared,
-                                          const FlowConfig& config);
+/// given platform + flow — the same record the first replay_on call would
+/// produce lazily. Called from staging paths (prepare_async, the backends'
+/// stage() hook) so the one full cycle-accurate recording run happens off
+/// the serving hot path instead of stalling the first pooled batch.
+/// Idempotent per (platform, flow) key; requires has_replay().
+void record_replay_envelope(Platform platform, const PreparedModel& prepared,
+                            const FlowConfig& config);
 
 /// Maximum |a-b| between two tensors (validation helper).
 float max_abs_diff(std::span<const float> a, std::span<const float> b);

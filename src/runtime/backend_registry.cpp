@@ -27,8 +27,10 @@ BackendRegistry& BackendRegistry::global() {
   // immovable.
   static BackendRegistry registry;
   static const bool initialized = [] {
-    registry.add(std::make_unique<SocBackend>()).expect_ok("register soc");
-    registry.add(std::make_unique<SystemTopBackend>())
+    registry.add(std::make_unique<SocPlatformBackend>(core::Platform::kSoc))
+        .expect_ok("register soc");
+    registry
+        .add(std::make_unique<SocPlatformBackend>(core::Platform::kSystemTop))
         .expect_ok("register system_top");
     registry.add(std::make_unique<VpBackend>()).expect_ok("register vp");
     registry.add(std::make_unique<LinuxBaselineBackend>())

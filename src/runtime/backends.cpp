@@ -145,29 +145,21 @@ StatusOr<bool> take_mode(BackendSpec& spec, bool current) {
   return replay;
 }
 
-/// Shared configure() body of the two SoC-platform backends: strip
-/// `?mode=`, rebuild the backend when the mode flips, and hand the
-/// remaining generic keys to the common wrapper. (The base
-/// ExecutionBackend::configure is exactly the `owned == nullptr` case.)
-template <typename BackendT>
-StatusOr<std::unique_ptr<ExecutionBackend>> configure_soc_style(
-    const ExecutionBackend& base, bool current_replay,
-    const BackendSpec& spec) {
-  BackendSpec stripped = spec;
-  const auto replay = take_mode(stripped, current_replay);
-  if (!replay.is_ok()) return replay.status();
-  if (*replay == current_replay) {
-    return make_configured_backend(&base, nullptr, stripped,
-                                   /*apply_clock=*/true);
-  }
-  return make_configured_backend(nullptr, std::make_unique<BackendT>(*replay),
-                                 stripped, /*apply_clock=*/true);
-}
-
 }  // namespace
 
-StatusOr<ExecutionResult> SocBackend::run(const core::PreparedModel& prepared,
-                                          const RunOptions& options) const {
+std::string_view SocPlatformBackend::name() const {
+  return platform_ == core::Platform::kSoc ? "soc" : "system_top";
+}
+
+std::string_view SocPlatformBackend::description() const {
+  return platform_ == core::Platform::kSoc
+             ? "standalone SoC (Fig. 2, internal DRAM)"
+             : "full board set-up (Fig. 4: Zynq-PS preload, SmartConnect, "
+               "MIG DDR4)";
+}
+
+StatusOr<ExecutionResult> SocPlatformBackend::run(
+    const core::PreparedModel& prepared, const RunOptions& options) const {
   if (!prepared.has_frontend() || !prepared.has_tail()) {
     return Status(StatusCode::kInvalidArgument,
                   "prepared model is missing its staged artifact cores");
@@ -179,10 +171,14 @@ StatusOr<ExecutionResult> SocBackend::run(const core::PreparedModel& prepared,
   try {
     // Replay mode needs the recorded schedule; a prepared model without
     // one (hand-built artifacts) still executes in full.
-    core::SocExecution exec = replay_mode_ && prepared.has_replay()
-                                  ? core::replay_on_soc(prepared, options.flow)
-                                  : core::execute_on_soc(prepared,
-                                                         options.flow);
+    core::SocExecution exec;
+    if (replay_mode_ && prepared.has_replay()) {
+      exec = core::replay_on(platform_, prepared, options.flow);
+    } else if (platform_ == core::Platform::kSoc) {
+      exec = core::execute_on_soc(prepared, options.flow);
+    } else {
+      exec = core::execute_on_system_top(prepared, options.flow);
+    }
     return from_soc_execution(*this, prepared, options, std::move(exec));
   } catch (const StatusError& e) {
     return e.status();
@@ -191,49 +187,27 @@ StatusOr<ExecutionResult> SocBackend::run(const core::PreparedModel& prepared,
   }
 }
 
-void SocBackend::stage(const core::PreparedModel& prepared,
-                       const RunOptions& options) const {
+void SocPlatformBackend::stage(const core::PreparedModel& prepared,
+                               const RunOptions& options) const {
   if (!replay_mode_ || !prepared.has_replay() || !prepared.has_tail()) return;
-  core::record_replay_envelope_on_soc(prepared, options.flow);
+  core::record_replay_envelope(platform_, prepared, options.flow);
 }
 
-StatusOr<std::unique_ptr<ExecutionBackend>> SocBackend::configure(
+StatusOr<std::unique_ptr<ExecutionBackend>> SocPlatformBackend::configure(
     const BackendSpec& spec) const {
-  return configure_soc_style<SocBackend>(*this, replay_mode_, spec);
-}
-
-StatusOr<ExecutionResult> SystemTopBackend::run(
-    const core::PreparedModel& prepared, const RunOptions& options) const {
-  if (!prepared.has_frontend() || !prepared.has_tail()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "prepared model is missing its staged artifact cores");
+  // Strip `?mode=`, rebuild the backend when the mode flips, and hand the
+  // remaining generic keys to the common wrapper. (The base
+  // ExecutionBackend::configure is exactly the `owned == nullptr` case.)
+  BackendSpec stripped = spec;
+  const auto replay = take_mode(stripped, replay_mode_);
+  if (!replay.is_ok()) return replay.status();
+  if (*replay == replay_mode_) {
+    return make_configured_backend(this, nullptr, stripped,
+                                   /*apply_clock=*/true);
   }
-  if (options.validate) {
-    if (Status s = validate_prepared(prepared, options, true); !s.is_ok())
-      return s;
-  }
-  try {
-    core::SocExecution exec =
-        replay_mode_ && prepared.has_replay()
-            ? core::replay_on_system_top(prepared, options.flow)
-            : core::execute_on_system_top(prepared, options.flow);
-    return from_soc_execution(*this, prepared, options, std::move(exec));
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInternal, e.what());
-  }
-}
-
-void SystemTopBackend::stage(const core::PreparedModel& prepared,
-                             const RunOptions& options) const {
-  if (!replay_mode_ || !prepared.has_replay() || !prepared.has_tail()) return;
-  core::record_replay_envelope_on_system_top(prepared, options.flow);
-}
-
-StatusOr<std::unique_ptr<ExecutionBackend>> SystemTopBackend::configure(
-    const BackendSpec& spec) const {
-  return configure_soc_style<SystemTopBackend>(*this, replay_mode_, spec);
+  return make_configured_backend(
+      nullptr, std::make_unique<SocPlatformBackend>(platform_, *replay),
+      stripped, /*apply_clock=*/true);
 }
 
 StatusOr<ExecutionResult> VpBackend::run(const core::PreparedModel& prepared,

@@ -5,16 +5,19 @@
 //   "vp"             Fig. 3 — direct virtual-platform execution (no fabric)
 //   "linux_baseline" Table II comparator — Linux driver stack of Giri [8]
 //
-// All four wrap existing machinery (core::execute_on_*, vp::VirtualPlatform,
-// baseline::LinuxDriverBaseline); the bare-metal backends are bit-exact
-// with the legacy facade calls they replace.
+// All four wrap existing machinery (core::execute_on_* / core::replay_on,
+// vp::VirtualPlatform, baseline::LinuxDriverBaseline). "soc" and
+// "system_top" are one class, SocPlatformBackend, over the two
+// core::Platform values.
 #pragma once
 
 #include "runtime/execution_backend.hpp"
 
 namespace nvsoc::runtime {
 
-/// Fig. 2: the generated bare-metal program runs on the standalone SoC.
+/// Fig. 2 ("soc", standalone SoC with the internal DRAM model) and Fig. 4
+/// ("system_top", full board set-up: PS preload, SmartConnect, CDC, MIG):
+/// the generated bare-metal program runs on the chosen SoC platform.
 ///
 /// Functional replay is the serving default (`?mode=replay`): the first
 /// run per (platform, flow) records the full cycle-accurate execution's
@@ -22,18 +25,17 @@ namespace nvsoc::runtime {
 /// every later image replays the functional op pipeline only — same
 /// outputs, same cycle counts, none of the µRISC-V ISS stepping.
 /// `?mode=cycle_accurate` opts a variant back into simulating every image
-/// in full (the parity/benchmark comparator), and a session whose replay
-/// engine is off (`set_replay_enabled(false)`) stages no schedule, so the
-/// default variant falls back to full execution too — the session-level
-/// opt-out.
-class SocBackend final : public ExecutionBackend {
+/// in full (with `?decode_cache=off`, the parity oracle), and a session
+/// whose replay engine is off (`set_replay_enabled(false)`) stages no
+/// schedule, so the default variant falls back to full execution too — the
+/// session-level opt-out.
+class SocPlatformBackend final : public ExecutionBackend {
  public:
-  explicit SocBackend(bool replay_mode = true) : replay_mode_(replay_mode) {}
+  explicit SocPlatformBackend(core::Platform platform, bool replay_mode = true)
+      : platform_(platform), replay_mode_(replay_mode) {}
 
-  std::string_view name() const override { return "soc"; }
-  std::string_view description() const override {
-    return "standalone SoC (Fig. 2, internal DRAM)";
-  }
+  std::string_view name() const override;
+  std::string_view description() const override;
   StatusOr<ExecutionResult> run(const core::PreparedModel& prepared,
                                 const RunOptions& options) const override;
   /// In replay mode: eagerly record the input-independent platform
@@ -46,31 +48,8 @@ class SocBackend final : public ExecutionBackend {
       const BackendSpec& spec) const override;
 
  private:
-  bool replay_mode_ = false;
-};
-
-/// Fig. 4: full board set-up — PS preload, SmartConnect switch, CDC, MIG.
-/// Replay-by-default with the same `?mode=` opt-out as SocBackend.
-class SystemTopBackend final : public ExecutionBackend {
- public:
-  explicit SystemTopBackend(bool replay_mode = true)
-      : replay_mode_(replay_mode) {}
-
-  std::string_view name() const override { return "system_top"; }
-  std::string_view description() const override {
-    return "full board set-up (Fig. 4: Zynq-PS preload, SmartConnect, MIG DDR4)";
-  }
-  StatusOr<ExecutionResult> run(const core::PreparedModel& prepared,
-                                const RunOptions& options) const override;
-  /// See SocBackend::stage.
-  void stage(const core::PreparedModel& prepared,
-             const RunOptions& options) const override;
-  /// Understands `?mode=replay|cycle_accurate` on top of the generic keys.
-  StatusOr<std::unique_ptr<ExecutionBackend>> configure(
-      const BackendSpec& spec) const override;
-
- private:
-  bool replay_mode_ = false;
+  core::Platform platform_;
+  bool replay_mode_;
 };
 
 /// Fig. 3: run the loadable directly on the virtual platform (the paper's

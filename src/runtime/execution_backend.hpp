@@ -97,7 +97,7 @@ struct ExecutionResult {
   std::vector<float> output;
   std::size_t predicted_class = 0;
   /// Platform-specific detail, present where it applies.
-  std::optional<core::SocExecution> soc;  ///< SocBackend / SystemTopBackend
+  std::optional<core::SocExecution> soc;  ///< SocPlatformBackend
   std::optional<baseline::LinuxRunEstimate> linux_estimate;
 };
 

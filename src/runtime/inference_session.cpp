@@ -454,11 +454,6 @@ void InferenceSession::repack_into(const ModelState& model,
   prepared.vp_refresh = std::make_shared<core::PreparedModel::VpRefreshMemo>();
 }
 
-void InferenceSession::set_repack_enabled(bool enabled) {
-  MutexLock lock(submit_mutex_);
-  repack_enabled_ = enabled;
-}
-
 void InferenceSession::set_replay_enabled(bool enabled) {
   drain_all_staging();
   MutexLock lock(submit_mutex_);
@@ -517,8 +512,8 @@ void InferenceSession::stage_tail_into(const ModelState& model,
 
   // The full run just recorded a fresh replay schedule. A replay-disabled
   // session stages no schedule at all, so its snapshots re-simulate in
-  // full; the per-image re-traces inside repack-disabled pooled tasks skip
-  // it too (their task-local schedule could never be reused).
+  // full; the inline rebuild after a quarantine skips it too (its
+  // task-local schedule could never be reused).
   prepared.replay =
       record_replay ? core::make_replay_schedule(tail->vp) : nullptr;
 
@@ -551,21 +546,10 @@ void InferenceSession::ensure_tail(ModelState& model,
     return;
   }
 
-  // Snapshot the session knobs once: ensure_tail is a session-thread stage
-  // method and must not hold submit_mutex_ across the (slow) trace below.
-  bool repack_on = false;
-  bool replay_on = false;
-  {
-    MutexLock lock(submit_mutex_);
-    repack_on = repack_enabled_;
-    replay_on = replay_enabled_;
-  }
-
   // Repack fast path: once one image has been traced, the CSB stream —
   // hence config file and program — is known to be input-independent, so a
   // same-shape image only needs its input-dependent surfaces refreshed.
-  if (model.tail_done && repack_on &&
-      model.prepared.input.size() == image.size()) {
+  if (model.tail_done && model.prepared.input.size() == image.size()) {
     model.tail_done = false;  // invalidate while mutating (repack can throw)
     repack_into(model, model.prepared, image);
     ++counters_.repack;
@@ -584,7 +568,7 @@ void InferenceSession::ensure_tail(ModelState& model,
   // not memo-hit on artifacts that belong to a different image.
   model.tail_done = false;
   auto outgoing_schedule = model.prepared.replay;
-  stage_tail_into(model, model.prepared, image, replay_on);
+  stage_tail_into(model, model.prepared, image, replay_enabled());
   // The trace succeeded and replaced the schedule; fold the outgoing
   // schedule's tally into the counters it vanishes from.
   if (outgoing_schedule != nullptr) {
@@ -1172,7 +1156,6 @@ PendingResult InferenceSession::submit_with(ModelState& model,
 
   StagingSource source;
   ThreadPool* pool = nullptr;
-  bool repack = true;
   RetryPolicy retry;
   {
     MutexLock lock(submit_mutex_);
@@ -1180,7 +1163,6 @@ PendingResult InferenceSession::submit_with(ModelState& model,
     note_use_locked(model, variant);
     pool = &pool_locked(worker_hint);
     source = staging_source_locked(model, image);
-    repack = repack_enabled_;
     retry = retry_policy_;
     // Enforce on use, after adoption: freshly staged schedules count, and
     // the model serving this request is evicted last.
@@ -1192,11 +1174,9 @@ PendingResult InferenceSession::submit_with(ModelState& model,
   // owns everything it touches: a surface snapshot sharing the immutable
   // cores (frontend, trace, replay schedule), its own copy of the image,
   // and per-run options. Repacking in the task skips the FP32 reference —
-  // pooled serving replays cheap functional ops only. A repack-disabled
-  // session keeps its full-replay-per-image contract by re-tracing
-  // *inside* the task instead. The backend is registry-owned and the
-  // ModelState map-pinned; both outlive the drain (the pool is the first
-  // session member to be destroyed).
+  // pooled serving replays cheap functional ops only. The backend is
+  // registry-owned and the ModelState map-pinned; both outlive the drain
+  // (the pool is the first session member to be destroyed).
   //
   // The result travels through the handle's shared State, not the pool
   // future (discarded): State::complete publishes the value, wakes get()
@@ -1206,18 +1186,18 @@ PendingResult InferenceSession::submit_with(ModelState& model,
   // itself runs even during session teardown.
   auto state = std::make_shared<PendingResult::State>();
   pool->submit(
-      [this, model_state = &model, &backend, options, repack, retry, state,
+      [this, model_state = &model, &backend, options, retry, state,
        source = std::move(source), image = std::move(image_copy),
        enqueued]() mutable {
-        state->complete(run_submitted(*model_state, backend, options, repack,
-                                      retry, source, image, enqueued));
+        state->complete(run_submitted(*model_state, backend, options, retry,
+                                      source, image, enqueued));
       });
   return PendingResult(std::move(state));
 }
 
 StatusOr<ExecutionResult> InferenceSession::run_submitted(
     ModelState& model, const ExecutionBackend& backend,
-    const RunOptions& options, bool repack, RetryPolicy retry,
+    const RunOptions& options, RetryPolicy retry,
     StagingSource& source, std::span<const float> image,
     std::chrono::steady_clock::time_point enqueued) {
   const auto expired = [&] {
@@ -1258,12 +1238,7 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
         // have taken arbitrarily long.
         if (expired()) return deadline_error("behind the staging latch");
         if (!same_image(prepared, image)) {
-          if (repack) {
-            repack_into(model, prepared, image);
-          } else {
-            stage_tail_into(model, prepared, image,
-                            /*record_replay=*/false);
-          }
+          repack_into(model, prepared, image);
         }
         return backend.run(prepared, options);
       } catch (const StatusError& e) {
@@ -1439,14 +1414,24 @@ StagingHandle InferenceSession::prepare_async_resolved(
 // Batches
 // ---------------------------------------------------------------------------
 
-StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_with(
-    ModelState& model, const ExecutionBackend& backend,
-    const std::vector<std::vector<float>>& images, const RunOptions& options) {
+StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch(
+    const std::string& backend,
+    const std::vector<std::vector<float>>& images) {
+  auto resolved = resolve(backend);
+  if (!resolved.is_ok()) return resolved.status();
+  ModelState& model = *resolved->state_;
+  {
+    MutexLock lock(submit_mutex_);
+    try_adopt_all_locked();
+    note_use_locked(model, resolved->variant_);
+  }
+  const RunOptions options = run_options(model);
   std::vector<ExecutionResult> results;
   results.reserve(images.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
     try {
-      auto result = backend.run(prepare_in(model, images[i]), options);
+      auto result =
+          resolved->backend_->run(prepare_in(model, images[i]), options);
       if (!result.is_ok()) return image_failure(i, result.status());
       results.push_back(std::move(result).value());
     } catch (const StatusError& e) {
@@ -1456,20 +1441,6 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_with(
     }
   }
   return results;
-}
-
-StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch(
-    const std::string& backend,
-    const std::vector<std::vector<float>>& images) {
-  auto resolved = resolve(backend);
-  if (!resolved.is_ok()) return resolved.status();
-  {
-    MutexLock lock(submit_mutex_);
-    try_adopt_all_locked();
-    note_use_locked(*resolved->state_, resolved->variant_);
-  }
-  return run_batch_with(*resolved->state_, *resolved->backend_, images,
-                        run_options(*resolved->state_));
 }
 
 StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
@@ -1489,17 +1460,6 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
                             ? options.workers
                             : ThreadPool::recommended_workers(images.size());
   workers = std::min(workers, images.size());
-  // One worker — or a session with the repack fast path disabled, whose
-  // contract is a full VP replay per image — runs the sequential path with
-  // the same per-run options.
-  if (workers <= 1 || !repack_enabled()) {
-    {
-      MutexLock lock(submit_mutex_);
-      try_adopt_all_locked();
-      note_use_locked(model, resolved->variant_);
-    }
-    return run_batch_with(model, *resolved->backend_, images, per_run);
-  }
 
   // Stage the shared artifacts once — as a blocking call, the batch API
   // keeps synchronous staging (and its clean image-0 error attribution);

@@ -1,5 +1,5 @@
 // InferenceSession — the staged, memoized serving engine over the paper
-// flow (successor of the monolithic core::prepare_model facade).
+// flow.
 //
 // The offline flow of Fig. 1 is split into explicit stages:
 //
@@ -161,9 +161,8 @@ struct StageCounters {
 
 /// Knobs for run_batch_parallel().
 struct BatchOptions {
-  /// Worker threads; 0 picks one per hardware thread. 1 (or a one-image
-  /// batch on a one-thread host) degrades to the sequential run_batch
-  /// path. The session's pool is created on first use and reused for the
+  /// Worker threads; 0 picks one per hardware thread. Every batch runs on
+  /// the session's pool, which is created on first use and reused for the
   /// session lifetime; the first pooled call's value (clamped to its batch
   /// size) sizes the initial spawn, and later pressure grows the pool
   /// elastically up to `max_workers`.
@@ -398,18 +397,6 @@ class InferenceSession {
   /// pair ever resolved, sorted by (model, spec). Thread-safe.
   std::vector<VariantStats> variant_stats() const;
 
-  /// The repack-input fast path is on by default; disabling it forces the
-  /// legacy full VP replay per image (kept for parity testing — outputs
-  /// must be bit-exact either way). With repack disabled,
-  /// run_batch_parallel degrades to the sequential path, and submit()
-  /// re-traces per image *inside* each pooled task (the first arrival
-  /// still stages the shared frontend+trace behind the staging latch).
-  void set_repack_enabled(bool enabled);
-  bool repack_enabled() const {
-    MutexLock lock(submit_mutex_);
-    return repack_enabled_;
-  }
-
   /// The functional replay engine is on by default; disabling it drops
   /// every model's recorded schedule so repacked images fall back to a
   /// full VP re-simulation (and the — replay-by-default — SoC backends to
@@ -438,8 +425,8 @@ class InferenceSession {
   /// ready-but-unadopted staging latches included). Thread-safe.
   std::uint64_t replay_resident_bytes() const;
 
-  /// The default input: a synthetic image from config.input_seed (the
-  /// calibration image, matching the legacy prepare_model flow).
+  /// The default input: a synthetic image from config.input_seed (also the
+  /// INT8 calibration image).
   const std::vector<float>& default_input();
 
   // --- staged artifacts (lazy, memoized; default model) --------------------
@@ -694,12 +681,12 @@ class InferenceSession {
                             const RunOptions& options,
                             std::size_t worker_hint);
   /// The pooled submit task body: deadline gates (dequeue, post-staging,
-  /// between attempts), the teardown typed-error gate, and the bounded
-  /// retry loop with kDataLoss quarantine + inline restage. `image` is the
-  /// task's own copy; `enqueued` anchors the deadline.
+  /// between attempts) and the bounded retry loop with kDataLoss
+  /// quarantine + inline restage. `image` is the task's own copy;
+  /// `enqueued` anchors the deadline.
   StatusOr<ExecutionResult> run_submitted(
       ModelState& model, const ExecutionBackend& backend,
-      const RunOptions& options, bool repack, RetryPolicy retry,
+      const RunOptions& options, RetryPolicy retry,
       StagingSource& source, std::span<const float> image,
       std::chrono::steady_clock::time_point enqueued);
   /// Rebuild a task-private prepared model from the immutable artifacts,
@@ -785,13 +772,6 @@ class InferenceSession {
   void note_staging_issued();
   /// ...and drop it when the task finishes (any exit path).
   void note_staging_done();
-  /// Sequential batch body shared by run_batch and the degenerate
-  /// run_batch_parallel cases (one worker, repack disabled), so per-batch
-  /// options like BatchOptions::validate survive the fallback.
-  StatusOr<std::vector<ExecutionResult>> run_batch_with(
-      ModelState& model, const ExecutionBackend& backend,
-      const std::vector<std::vector<float>>& images,
-      const RunOptions& options);
   /// Build the input-independent frontend core (weights -> calibration ->
   /// loadable) for `model`. Pure apart from the atomic counters, so the
   /// pooled staging task can run it off-thread; `calibration_image` is the
@@ -812,9 +792,9 @@ class InferenceSession {
   /// missing, then input assign + VP trace + (optionally) replay-schedule
   /// recording + config-file/program reuse-or-regenerate. Shared by the
   /// session's synchronous ensure_tail (prepared == model.prepared), the
-  /// pooled staging task, and the repack-disabled per-image re-trace
-  /// inside pooled tasks. Reads only the model's immutable identity
-  /// (network, config); touches no session state beyond atomic counters.
+  /// pooled staging task, and the inline rebuild after a quarantine. Reads
+  /// only the model's immutable identity (network, config); touches no
+  /// session state beyond atomic counters.
   void stage_tail_into(const ModelState& model, core::PreparedModel& prepared,
                        std::span<const float> image, bool record_replay) const;
   /// Substitute `image` into `prepared`'s per-input surface without
@@ -841,7 +821,6 @@ class InferenceSession {
   /// so the annotations below may name it.
   mutable Mutex submit_mutex_;
 
-  bool repack_enabled_ GUARDED_BY(submit_mutex_) = true;
   bool replay_enabled_ GUARDED_BY(submit_mutex_) = true;
   /// 0 = unlimited.
   std::uint64_t replay_budget_bytes_ GUARDED_BY(submit_mutex_) = 0;

@@ -197,33 +197,6 @@ TEST(AsyncStaging, ConcurrentSubmitsShareOneStagingTask) {
   EXPECT_EQ(session.counters().async_stagings, 1u);
 }
 
-TEST(AsyncStaging, RepackDisabledSubmitsRetraceInsideThePool) {
-  const auto images = synthetic_batch(models::lenet5(), 3, 6500);
-  InferenceSession session(models::lenet5());
-  session.set_repack_enabled(false);
-  InferenceSession fast(models::lenet5());
-
-  std::vector<PendingResult> a;
-  std::vector<PendingResult> b;
-  for (const auto& image : images) {
-    a.push_back(session.submit("vp", image));
-    b.push_back(fast.submit("vp", image));
-  }
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto ra = a[i].get();
-    auto rb = b[i].get();
-    ASSERT_TRUE(ra.is_ok()) << ra.status().to_string();
-    ASSERT_TRUE(rb.is_ok()) << rb.status().to_string();
-    EXPECT_EQ(ra->output, rb->output) << "image " << i;
-    EXPECT_EQ(ra->cycles, rb->cycles) << "image " << i;
-  }
-  // One shared staging task; the per-image full replays of the
-  // repack-disabled contract ran inside the pooled tasks.
-  EXPECT_EQ(session.counters().async_stagings, 1u);
-  EXPECT_EQ(session.counters().trace, 3u);
-  EXPECT_EQ(session.counters().repack, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // prepare_async: staging + platform-envelope recording off the serving path
 // ---------------------------------------------------------------------------
@@ -231,42 +204,51 @@ TEST(AsyncStaging, RepackDisabledSubmitsRetraceInsideThePool) {
 TEST(PrepareAsync, StagesArtifactsAndReplayEnvelope) {
   const auto images = synthetic_batch(models::lenet5(), 3, 6600);
   InferenceSession session(models::lenet5());
-  auto handle = session.prepare_async("soc?mode=replay", images[0]);
-  EXPECT_EQ(session.counters().async_stagings, 1u);
-  const Status staged = handle.wait();
-  ASSERT_TRUE(staged.is_ok()) << staged.to_string();
-  EXPECT_EQ(session.counters().trace, 1u);
-
-  // The `?mode=replay` platform envelope was recorded by the staging hook,
-  // not left for the first pooled batch to stall on.
-  const auto& schedule = session.prepare(images[0]).replay_schedule();
-  EXPECT_EQ(schedule.platform_record_count(), 1u);
-
-  // Serving through the staged session matches the cycle-accurate
-  // platform bit for bit.
   InferenceSession cycle_accurate(models::lenet5());
-  std::vector<PendingResult> pending;
-  for (const auto& image : images) {
-    pending.push_back(session.submit("soc?mode=replay", image));
-  }
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto replayed = pending[i].get();
-    const auto simulated =
-        cycle_accurate.run("soc?mode=cycle_accurate", images[i]);
-    ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-    ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
-    EXPECT_EQ(replayed->output, simulated->output) << "image " << i;
-    EXPECT_EQ(replayed->cycles, simulated->cycles) << "image " << i;
-  }
-  // No further traces or staging tasks were needed to serve the batch.
-  EXPECT_EQ(session.counters().trace, 1u);
-  EXPECT_EQ(session.counters().async_stagings, 1u);
+  std::size_t records = 0;
+  for (const std::string base : {"soc", "system_top"}) {
+    const std::string spec = base + "?mode=replay";
+    auto handle = session.prepare_async(spec, images[0]);
+    // One staging task per session: the second platform reuses the first
+    // one's trace and only records its own envelope.
+    EXPECT_EQ(session.counters().async_stagings, 1u) << base;
+    const Status staged = handle.wait();
+    ASSERT_TRUE(staged.is_ok()) << base << ": " << staged.to_string();
+    EXPECT_EQ(session.counters().trace, 1u) << base;
 
-  // Re-staging an already-staged session is an idempotent no-op.
-  auto again = session.prepare_async("soc?mode=replay");
-  EXPECT_TRUE(again.wait().is_ok());
-  EXPECT_EQ(schedule.platform_record_count(), 1u);
-  EXPECT_EQ(session.counters().async_stagings, 1u);
+    // The `?mode=replay` platform envelope was recorded by the staging
+    // hook, not left for the first pooled batch to stall on — one record
+    // per platform.
+    const auto& schedule = session.prepare(images[0]).replay_schedule();
+    EXPECT_EQ(schedule.platform_record_count(), ++records) << base;
+
+    // Serving through the staged session matches the platform's own
+    // cycle-accurate run bit for bit.
+    std::vector<PendingResult> pending;
+    for (const auto& image : images) {
+      pending.push_back(session.submit(spec, image));
+    }
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      auto replayed = pending[i].get();
+      const auto simulated =
+          cycle_accurate.run(base + "?mode=cycle_accurate", images[i]);
+      ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+      ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
+      EXPECT_EQ(replayed->output, simulated->output)
+          << base << " image " << i;
+      EXPECT_EQ(replayed->cycles, simulated->cycles)
+          << base << " image " << i;
+    }
+    // No further traces or staging tasks were needed to serve the batch.
+    EXPECT_EQ(session.counters().trace, 1u) << base;
+    EXPECT_EQ(session.counters().async_stagings, 1u) << base;
+
+    // Re-staging an already-staged variant is an idempotent no-op.
+    auto again = session.prepare_async(spec);
+    EXPECT_TRUE(again.wait().is_ok()) << base;
+    EXPECT_EQ(schedule.platform_record_count(), records) << base;
+    EXPECT_EQ(session.counters().async_stagings, 1u) << base;
+  }
 }
 
 TEST(PrepareAsync, HandlesAreOneShotAndFailFast) {

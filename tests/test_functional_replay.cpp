@@ -46,7 +46,7 @@ TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
   const auto images = synthetic_batch(models::lenet5(), 3, 4300);
   InferenceSession session(models::lenet5());
   InferenceSession full(models::lenet5());
-  full.set_repack_enabled(false);
+  full.set_replay_enabled(false);
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < images.size(); ++i) {
       const auto replayed = session.run("vp", images[i]);
@@ -78,14 +78,14 @@ TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
 // ---------------------------------------------------------------------------
 
 /// vp / linux_baseline take the replay path automatically on repacked
-/// images; a repack-disabled session re-simulates everything in full. Both
-/// must agree bit for bit, on outputs and on cycles.
+/// images; a replay-disabled session re-simulates every repacked image in
+/// full. Both must agree bit for bit, on outputs and on cycles.
 void expect_replay_matches_full(compiler::Network (*build)(),
                                 const char* backend) {
   const auto images = synthetic_batch(build(), 3, 4100);
   InferenceSession fast(build());
   InferenceSession full(build());
-  full.set_repack_enabled(false);
+  full.set_replay_enabled(false);
   for (const auto& image : images) {
     const auto replayed = fast.run(backend, image);
     const auto simulated = full.run(backend, image);
@@ -117,19 +117,22 @@ TEST(ReplayBitExact, LinuxBaselineResnet) {
   expect_replay_matches_full(models::resnet18_cifar, "linux_baseline");
 }
 
-/// The SoC platforms replay by default (the bare base spec); the
-/// `?mode=cycle_accurate` variant opts back into simulating every image
-/// in full. Outputs, cycles and latency must be bit-identical — the
-/// recorded envelope is input-independent.
+/// The SoC platforms replay by default (the bare base spec); the oracle —
+/// a replay-disabled session on `?mode=cycle_accurate&decode_cache=off` —
+/// simulates every image in full on the per-instruction ISS. Outputs,
+/// cycles and latency must be bit-identical — the recorded envelope is
+/// input-independent.
 void expect_soc_replay_matches_full(compiler::Network (*build)(),
                                     const char* base) {
   const auto images = synthetic_batch(build(), 2, 4200);
-  const std::string fullsim_spec =
-      std::string(base) + "?mode=cycle_accurate";
+  const std::string oracle_spec =
+      std::string(base) + "?mode=cycle_accurate&decode_cache=off";
   const std::string replay_spec = base;
   InferenceSession session(build());
+  InferenceSession oracle(build());
+  oracle.set_replay_enabled(false);
   for (const auto& image : images) {
-    const auto simulated = session.run(fullsim_spec, image);
+    const auto simulated = oracle.run(oracle_spec, image);
     const auto replayed = session.run(replay_spec, image);
     ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
     ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();

@@ -1,8 +1,8 @@
 // Runtime API tests: backend registry lookup (incl. unknown-name error),
 // StatusOr error paths (program-memory overflow, loadable/trace mismatch),
-// InferenceSession stage memoization, run_batch equivalence with per-image
-// legacy preparation, and bit-exactness of the backends against the legacy
-// core::execute_on_* facade.
+// InferenceSession stage memoization, and bit-exactness of the replayed SoC
+// backends and of run_batch against the parity oracle (every image
+// simulated in full on the per-instruction ISS).
 #include <gtest/gtest.h>
 
 #include "core/bare_metal_flow.hpp"
@@ -16,6 +16,10 @@ namespace {
 using runtime::BackendRegistry;
 using runtime::ExecutionResult;
 using runtime::InferenceSession;
+
+/// The parity oracle's spec suffix: full cycle-accurate execution per image,
+/// with the decoded-block cache off (the per-instruction ISS).
+constexpr const char* kOracle = "?mode=cycle_accurate&decode_cache=off";
 
 /// One LeNet session shared by the suite (stage work runs once).
 InferenceSession& lenet_session() {
@@ -73,8 +77,11 @@ TEST(Registry, UnknownNameReportsNotFoundWithKnownList) {
 
 TEST(Registry, DuplicateRegistrationRejected) {
   BackendRegistry registry;
-  EXPECT_TRUE(registry.add(std::make_unique<runtime::SocBackend>()).is_ok());
-  const Status dup = registry.add(std::make_unique<runtime::SocBackend>());
+  const auto soc = [] {
+    return std::make_unique<runtime::SocPlatformBackend>(core::Platform::kSoc);
+  };
+  EXPECT_TRUE(registry.add(soc()).is_ok());
+  const Status dup = registry.add(soc());
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(registry.add(nullptr).code(), StatusCode::kInvalidArgument);
 }
@@ -87,36 +94,32 @@ TEST(Registry, SessionSurfacesUnknownBackendError) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-exactness against the legacy facade
+// Bit-exactness against the parity oracle
 // ---------------------------------------------------------------------------
 
-TEST(Backends, SocBackendBitExactWithLegacyFacade) {
-  auto& session = lenet_session();
-  const auto result = session.run("soc");
+/// The replayed platform in the shared session against the oracle spec in
+/// a session of its own.
+void expect_bit_exact_with_oracle(const std::string& backend) {
+  const auto result = lenet_session().run(backend);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
 
-  core::FlowConfig config;
-  const auto legacy =
-      core::execute_on_soc(core::prepare_model(models::lenet5(), config),
-                           config);
-  EXPECT_EQ(result->cycles, legacy.cycles);
-  EXPECT_EQ(result->output, legacy.output);
-  EXPECT_EQ(result->predicted_class, legacy.predicted_class);
+  InferenceSession oracle_session(models::lenet5());
+  const auto oracle = oracle_session.run(backend + kOracle);
+  ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
+  EXPECT_EQ(result->cycles, oracle->cycles);
+  EXPECT_EQ(result->output, oracle->output);
+  EXPECT_EQ(result->predicted_class, oracle->predicted_class);
   ASSERT_TRUE(result->soc.has_value());
-  EXPECT_EQ(result->soc->cpu.instructions(), legacy.cpu.instructions());
+  ASSERT_TRUE(oracle->soc.has_value());
+  EXPECT_EQ(result->soc->cpu.instructions(), oracle->soc->cpu.instructions());
 }
 
-TEST(Backends, SystemTopBackendBitExactWithLegacyFacade) {
-  auto& session = lenet_session();
-  const auto result = session.run("system_top");
-  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+TEST(Backends, SocBitExactWithCycleAccurateOracle) {
+  expect_bit_exact_with_oracle("soc");
+}
 
-  core::FlowConfig config;
-  const auto legacy = core::execute_on_system_top(
-      core::prepare_model(models::lenet5(), config), config);
-  EXPECT_EQ(result->cycles, legacy.cycles);
-  EXPECT_EQ(result->output, legacy.output);
-  EXPECT_EQ(result->predicted_class, legacy.predicted_class);
+TEST(Backends, SystemTopBitExactWithCycleAccurateOracle) {
+  expect_bit_exact_with_oracle("system_top");
 }
 
 TEST(Backends, VpBackendMatchesPreparedTraceRun) {
@@ -254,7 +257,7 @@ TEST(Session, RunBatchCompilesOnceAndTracesPerImage) {
   EXPECT_EQ(counters.program, 1u);
 }
 
-TEST(Session, RunBatchMatchesPerImageLegacyPreparation) {
+TEST(Session, RunBatchMatchesCycleAccurateOracle) {
   InferenceSession session(models::lenet5());
   const auto shape = session.network().input_shape();
   std::vector<std::vector<float>> images;
@@ -264,15 +267,14 @@ TEST(Session, RunBatchMatchesPerImageLegacyPreparation) {
   const auto results = session.run_batch("soc", images);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
 
-  // Legacy equivalent: prepare once, substitute each image, execute.
-  core::FlowConfig config;
-  auto prepared = core::prepare_model(models::lenet5(), config);
+  InferenceSession oracle_session(models::lenet5());
   for (std::size_t i = 0; i < images.size(); ++i) {
-    prepared.input = images[i];
-    const auto legacy = core::execute_on_soc(prepared, config);
-    EXPECT_EQ((*results)[i].output, legacy.output) << "image " << i;
-    EXPECT_EQ((*results)[i].predicted_class, legacy.predicted_class);
-    EXPECT_EQ((*results)[i].cycles, legacy.cycles);
+    const auto oracle =
+        oracle_session.run(std::string("soc") + kOracle, images[i]);
+    ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
+    EXPECT_EQ((*results)[i].output, oracle->output) << "image " << i;
+    EXPECT_EQ((*results)[i].predicted_class, oracle->predicted_class);
+    EXPECT_EQ((*results)[i].cycles, oracle->cycles);
   }
 }
 

@@ -461,31 +461,5 @@ TEST(Submit, SessionDestructionDrainsInFlightWork) {
   }
 }
 
-TEST(Submit, RepackDisabledSessionStillServesBitExact) {
-  const auto images = synthetic_batch(models::lenet5(), 3, 4900);
-  InferenceSession replay(models::lenet5());
-  replay.set_repack_enabled(false);
-  InferenceSession fast(models::lenet5());
-
-  std::vector<PendingResult> a;
-  std::vector<PendingResult> b;
-  for (const auto& image : images) {
-    a.push_back(replay.submit("vp", image));
-    b.push_back(fast.submit("vp", image));
-  }
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto ra = a[i].get();
-    auto rb = b[i].get();
-    ASSERT_TRUE(ra.is_ok()) << ra.status().to_string();
-    ASSERT_TRUE(rb.is_ok()) << rb.status().to_string();
-    EXPECT_EQ(ra->output, rb->output) << "image " << i;
-    EXPECT_EQ(ra->cycles, rb->cycles) << "image " << i;
-  }
-  // The full-replay contract held: one VP run per distinct image.
-  EXPECT_EQ(replay.counters().trace, 3u);
-  EXPECT_EQ(replay.counters().repack, 0u);
-  EXPECT_EQ(fast.counters().trace, 1u);
-}
-
 }  // namespace
 }  // namespace nvsoc
