@@ -527,11 +527,12 @@ int main() {
       t.conv = bench::summarize(conv_ms);
       t.fc = bench::summarize(fc_ms);
       t.gmac_per_s = static_cast<double>(t.macs) / (t.conv.median * 1e6);
-      std::printf("int8 conv kernel: %-8s %2llu conv ops (%llu FC), %5.1f "
-                  "MMAC/image: %.3f ms median [q1 %.3f, q3 %.3f] over %d "
-                  "repeats = %.2f GMAC/s (FC ops %.3f ms), outputs "
+      std::printf("int8 conv kernel (%s): %-8s %2llu conv ops (%llu FC), "
+                  "%5.1f MMAC/image: %.3f ms median [q1 %.3f, q3 %.3f] over "
+                  "%d repeats = %.2f GMAC/s (FC ops %.3f ms), outputs "
                   "bit-exact\n",
-                  model, static_cast<unsigned long long>(t.conv_ops),
+                  nvdla::int8_conv_kernel_isa(), model,
+                  static_cast<unsigned long long>(t.conv_ops),
                   static_cast<unsigned long long>(t.fc_ops), t.macs / 1e6,
                   t.conv.median, t.conv.q1, t.conv.q3, kConvRepeats,
                   t.gmac_per_s, t.fc.median);
@@ -545,6 +546,8 @@ int main() {
       return 2;
     }
     report.add("int8_conv", "model", std::string("resnet18"));
+    report.add("int8_conv", "kernel_isa",
+               std::string(nvdla::int8_conv_kernel_isa()));
     report.add("int8_conv", "conv_ops", resnet.conv_ops);
     report.add("int8_conv", "macs_per_image", resnet.macs);
     report.add("int8_conv", "repeats", kConvRepeats);

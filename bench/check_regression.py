@@ -144,9 +144,10 @@ REQUIRED_KEYS = {
                          "block_hits", "block_invalidations"],
         "iss_decode_cache": ["decode_cache_speedup", "decoded_blocks",
                              "block_hits", "block_invalidations"],
-        # The int8 conv gate reports its median with the spread around it.
+        # The int8 conv gate reports its median with the spread around it,
+        # and which kernel variant (instruction set) produced it.
         "int8_conv": ["conv_host_ms_median", "conv_host_ms_q1",
-                      "conv_host_ms_q3", "conv_gmac_per_s"],
+                      "conv_host_ms_q3", "conv_gmac_per_s", "kernel_isa"],
     },
     # The degraded serving leg must keep reporting its chaos evidence
     # (the bench itself asserts faults_injected > 0 and that every

@@ -14,7 +14,10 @@ namespace {
 
 /// FNV-1a over the raw op bytes. The schedule only ever compares a buffer
 /// against its own frozen digest, so padding bytes hashing along is fine —
-/// they are as stable (and as corruptible) as the payload fields.
+/// they are as stable (and as corruptible) as the payload fields. So is
+/// each conv op's packed-weights pointer; the pack's contents are not
+/// hashed (a replay uses a pack only after comparing its source bytes with
+/// the weight bytes it read).
 std::uint64_t checksum_ops(const std::vector<nvdla::ReplayOp>& ops) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(ops.data());
   const std::size_t size = ops.size() * sizeof(nvdla::ReplayOp);
@@ -94,11 +97,34 @@ std::uint64_t ReplaySchedule::release_arenas() const {
   return live != nullptr ? live->release_free_arenas() : 0;
 }
 
+std::uint64_t ReplaySchedule::schedule_bytes() const {
+  std::uint64_t bytes =
+      sizeof(ReplaySchedule) + ops.capacity() * sizeof(nvdla::ReplayOp);
+  for (const nvdla::ReplayOp& op : ops) {
+    if (op.packed_weights != nullptr) bytes += op.packed_weights->bytes();
+  }
+  return bytes;
+}
+
 std::shared_ptr<const ReplaySchedule> make_replay_schedule(
-    vp::VpRunResult& vp_result) {
+    vp::VpRunResult& vp_result, const compiler::Loadable& loadable) {
   auto schedule = std::make_shared<ReplaySchedule>();
   schedule->ops = std::move(vp_result.replay_ops);
   vp_result.replay_ops.clear();
+  // The pack's source is the preloaded blob; a replay whose memory holds
+  // other bytes at weight_addr ignores the pack and reorders what it read.
+  const std::span<const std::uint8_t> blob = loadable.weight_blob;
+  for (nvdla::ReplayOp& op : schedule->ops) {
+    if (op.kind != nvdla::ReplayOp::Kind::kConv ||
+        op.conv.weight_addr < loadable.weight_base ||
+        op.conv.weight_addr - loadable.weight_base + op.conv.weight_bytes >
+            blob.size()) {
+      continue;
+    }
+    op.packed_weights = nvdla::pack_conv_weights(
+        op.conv, blob.subspan(op.conv.weight_addr - loadable.weight_base,
+                              op.conv.weight_bytes));
+  }
   schedule->vp_total_cycles = vp_result.total_cycles;
   schedule->ops_checksum = checksum_ops(schedule->ops);
   return schedule;

@@ -167,13 +167,10 @@ struct ReplaySchedule {
 
   // --- byte accounting (the session's replay-budget eviction input) --------
 
-  /// Heap bytes of the recorded schedule itself. The op descriptors are
-  /// fixed-size PODs (no heap members), so the ops vector's capacity bounds
-  /// the footprint — this is the cost of keeping a cold variant *staged*
-  /// after its arenas are dropped.
-  std::uint64_t schedule_bytes() const {
-    return sizeof(ReplaySchedule) + ops.capacity() * sizeof(nvdla::ReplayOp);
-  }
+  /// Heap bytes of the recorded schedule itself: the fixed-size op
+  /// descriptors plus the conv ops' packed weights — the cost of keeping a
+  /// cold variant *staged* after its arenas are dropped.
+  std::uint64_t schedule_bytes() const;
 
   /// Bytes currently held by the replay engine's arenas (0 until the first
   /// replay builds one). Never constructs the engine — accounting a cold
@@ -313,9 +310,11 @@ struct PreparedModel {
 };
 
 /// Build the replay-schedule core from a freshly captured VP run, moving
-/// the recorded ops out of it (the trace core does not need them).
+/// the recorded ops out of it (the trace core does not need them), and pack
+/// each int8 conv op's weights from `loadable`'s weight blob once for the
+/// conv kernel (nvdla::pack_conv_weights).
 std::shared_ptr<const ReplaySchedule> make_replay_schedule(
-    vp::VpRunResult& vp_result);
+    vp::VpRunResult& vp_result, const compiler::Loadable& loadable);
 
 /// Functional replay of the recorded schedule for `prepared`'s current
 /// input: DMA payload movement plus op math only, on a fresh replay

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -120,10 +121,40 @@ struct ConvAccumulators {
   }
 };
 
+/// An int8 conv op's weights reordered from the blob's [k][c][r][s] into
+/// the kernel's [k][r][s][c] (channels innermost, like the packed-atom
+/// surfaces), together with the blob bytes they were built from. Built once
+/// per replay schedule (see pack_conv_weights) and immutable afterwards.
+struct PackedConvWeights {
+  std::uint32_t kernel_k = 0, kernel_c = 0, kernel_h = 0, kernel_w = 0;
+  std::vector<std::uint8_t> source;  ///< the [k][c][r][s] blob bytes
+  std::vector<std::int8_t> krsc;     ///< the same weights, [k][r][s][c]
+
+  /// True when this pack was built for `op`'s kernel shape from exactly
+  /// `weights` (a byte-for-byte compare, not a hash).
+  bool matches(const ConvOp& op, std::span<const std::uint8_t> weights) const;
+  /// Heap bytes held (reordered weights plus source bytes).
+  std::uint64_t bytes() const { return source.capacity() + krsc.capacity(); }
+};
+
+/// Pack an int8 conv op's weight blob for conv_execute. Returns nullptr for
+/// FP16 ops and for a blob shorter than the op's kernels need.
+std::shared_ptr<const PackedConvWeights> pack_conv_weights(
+    const ConvOp& op, std::span<const std::uint8_t> weights);
+
 /// Run the convolution pipeline on a staged input cube and a raw weight
-/// blob laid out [k][c][r][s].
+/// blob laid out [k][c][r][s]. `packed` (may be nullptr) is a pack of the
+/// same op's weights: the int8 kernel uses its reordered weights when it
+/// matches `weights` byte for byte, and reorders `weights` itself
+/// otherwise, so the result is a function of `weights` alone.
 ConvAccumulators conv_execute(const ConvOp& op, const CubeBuffer& input,
-                              std::span<const std::uint8_t> weights);
+                              std::span<const std::uint8_t> weights,
+                              const PackedConvWeights* packed = nullptr);
+
+/// The instruction-set variant of the int8 conv kernel conv_execute runs
+/// on this host: "avx2" where the build has that variant and the CPU
+/// supports it, "portable" otherwise.
+const char* int8_conv_kernel_isa();
 
 /// Apply the SDP post-processing pipeline. Exactly one of `acc` (flying
 /// mode) or `src` (memory mode) is used. `bias_table` holds the BS-channel

@@ -37,7 +37,8 @@ void replay_conv(const NvdlaConfig& config, const ReplayOp& op,
     mem.read(sdp.operand_addr, eltwise);
   }
 
-  const ConvAccumulators acc = conv_execute(conv, input, weights);
+  const ConvAccumulators acc =
+      conv_execute(conv, input, weights, op.packed_weights.get());
   CubeBuffer out(sdp.dst);
   sdp_execute(sdp, &acc, nullptr, bias_table, eltwise, out);
   mem.write(sdp.dst.base, out.bytes());

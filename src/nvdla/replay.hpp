@@ -16,6 +16,7 @@
 // paths, so replayed outputs are bit-identical by construction.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,6 +48,12 @@ struct ReplayOp {
   Cycle complete = 0;
 
   ConvOp conv;  ///< kConv
+  /// kConv, int8: the op's weights packed once for the conv kernel, set
+  /// when a replay schedule is made (core::make_replay_schedule) and null
+  /// on records fresh from the engine. Immutable and shared by every
+  /// replay of the schedule; replay_op uses it only while the weight bytes
+  /// it reads from memory still equal the pack's source bytes.
+  std::shared_ptr<const PackedConvWeights> packed_weights;
   SdpOp sdp;    ///< kConv (flying tail) and kSdp (standalone)
   PdpOp pdp;    ///< kPdp
   CdpOp cdp;    ///< kCdp

@@ -3,11 +3,22 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/bitutil.hpp"
 #include "common/fp16.hpp"
 #include "common/strfmt.hpp"
+#include "nvdla/conv_kernel.hpp"
 #include "nvdla/ops.hpp"
+
+// The int8 conv kernel gets an AVX2 variant, picked at run time by CPU
+// feature, where the compiler can target it per function (GCC and Clang on
+// x86-64). Elsewhere the portable variant is the only one.
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__has_attribute)
+#if __has_attribute(target)
+#define NVSOC_CONV_AVX2 1
+#endif
+#endif
 
 namespace nvsoc::nvdla {
 
@@ -35,26 +46,53 @@ std::vector<T> unpack_planar(const CubeBuffer& cube) {
   return out;
 }
 
+/// Host-endian scalar load from byte storage (no type-punned pointer).
+template <typename T>
+T load(const std::uint8_t* bytes) {
+  T value;
+  std::memcpy(&value, bytes, sizeof(T));
+  return value;
+}
+
+/// An int8 conv op's weights reordered from the blob's [k][c][r][s] to
+/// [k][r][s][c], the tap order of the kernel's channel-last patch rows.
+std::vector<std::int8_t> reorder_krsc(const ConvOp& op,
+                                      std::span<const std::uint8_t> weights) {
+  const std::size_t C = op.kernel_c;
+  const std::size_t R = op.kernel_h;
+  const std::size_t S = op.kernel_w;
+  const std::size_t crs = C * R * S;
+  std::vector<std::int8_t> krsc(op.kernel_k * crs);
+  for (std::size_t k = 0; k < op.kernel_k; ++k) {
+    const std::uint8_t* src = weights.data() + k * crs;
+    std::int8_t* dst = krsc.data() + k * crs;
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t rs = 0; rs < R * S; ++rs) {
+        dst[rs * C + c] = static_cast<std::int8_t>(src[c * R * S + rs]);
+      }
+    }
+  }
+  return krsc;
+}
+
 // Shape of the int8 convolution kernel: a register tile of kTileK kernels x
 // kTileP output pixels of int32 accumulators, over patch and weight rows
-// widened to int16 and padded to a multiple of kTapAlign taps (the weight
-// rows with zeros). The patch rows of one block of output pixels share a
-// scratch budget of kPatchBlockBytes, so the patch scratch is bounded
-// whatever the layer size.
+// widened to int16 and padded to a multiple of kTapAlign taps (with zeros).
+// The patch rows of one block of output pixels share a scratch budget of
+// kPatchBlockBytes, so the patch scratch is bounded whatever the layer size.
 constexpr std::size_t kTileK = 4;
 constexpr std::size_t kTileP = 2;
 constexpr std::size_t kTapAlign = 16;
 constexpr std::size_t kPatchBlockBytes = std::size_t{128} << 10;
-/// Patch rows are assembled from runs of S image samples, copied in
-/// fixed-size chunks that may overrun a run by up to kChunk - 1 samples.
-constexpr std::size_t kChunk = 8;
 
 /// sum[t][u] = Σ_i w[t·pitch + i] · p[u·pitch + i] over `pitch` taps (a
 /// multiple of kTapAlign). int16·int16 products accumulate in int32, which
 /// the vectorizer lowers to multiply-add pairs; the eight accumulators
-/// stay in registers for the whole row.
-void dot_tile(const std::int16_t* w, const std::int16_t* p, std::size_t pitch,
-              std::int32_t (&sum)[kTileK][kTileP]) {
+/// stay in registers for the whole row. Forced inline so each kernel
+/// variant vectorizes it for its own instruction set.
+[[gnu::always_inline]] inline void dot_tile(
+    const std::int16_t* w, const std::int16_t* p, std::size_t pitch,
+    std::int32_t (&sum)[kTileK][kTileP]) {
   const std::int16_t* w0 = w;
   const std::int16_t* w1 = w0 + pitch;
   const std::int16_t* w2 = w1 + pitch;
@@ -83,33 +121,36 @@ void dot_tile(const std::int16_t* w, const std::int16_t* p, std::size_t pitch,
   sum[3][1] = s31;
 }
 
-/// The int8 fast path. The input is unpacked once per call into an int16
-/// image per channel, [c][y][x], with the padding border already filled
-/// with pad_value, so a patch row — taps in the weight blob's [c][r][s]
-/// order — is C·R straight runs of S samples with no bounds checks. Per
-/// group, patch rows are built for a block of output pixels, then every
-/// kernel of the group runs over the block, kTileK kernels x kTileP pixels
-/// at a time; a tile that is not full computes on spare rows whose results
-/// are never stored. Requires sums that fit int32.
-void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
-                     const std::int8_t* wt, ConvAccumulators& acc) {
+/// The int8 fast path, over [k][r][s][c] weights. The input is unpacked
+/// once per call into a channel-last int16 image per group, [g][y][x][c],
+/// with the padding border already filled with pad_value, so a patch row —
+/// taps in [r][s][c] order — is R straight runs of S·C samples with no
+/// bounds checks. Per group, patch rows are built for a block of output
+/// pixels, then every kernel of the group runs over the block, kTileK
+/// kernels x kTileP pixels at a time; a tile that is not full computes on
+/// spare rows whose results are never stored. Requires sums that fit
+/// int32. Inlined into one function per instruction-set variant.
+[[gnu::always_inline]] inline void conv_int8_tiled(const ConvOp& op,
+                                                   const CubeBuffer& input,
+                                                   const std::int8_t* krsc,
+                                                   std::int32_t* acc) {
   const SurfaceDesc& d = input.desc();
   const std::size_t C = op.kernel_c;
   const std::size_t R = op.kernel_h;
   const std::size_t S = op.kernel_w;
   const std::size_t G = std::max(1u, op.groups);
   const std::size_t k_per_group = op.kernel_k / G;
-  const std::size_t crs = C * R * S;
-  const std::size_t pitch = (crs + kTapAlign - 1) / kTapAlign * kTapAlign;
+  const std::size_t taps = C * R * S;
+  const std::size_t pitch = (taps + kTapAlign - 1) / kTapAlign * kTapAlign;
   const std::size_t outs = static_cast<std::size_t>(op.out_h) * op.out_w;
   if (outs == 0) return;
 
   // Padded image: exactly the rows and columns the output windows cover.
   const std::size_t img_h = (op.out_h - 1) * std::size_t{op.stride_y} + R;
   const std::size_t img_w = (op.out_w - 1) * std::size_t{op.stride_x} + S;
-  const std::size_t plane_elems = img_h * img_w;
-  // (kChunk of slack: the last run's chunk may read past the last plane.)
-  std::vector<std::int16_t> img(G * C * plane_elems + kChunk,
+  const std::size_t line_elems = img_w * C;
+  const std::size_t group_elems = img_h * line_elems;
+  std::vector<std::int16_t> img(G * group_elems,
                                 static_cast<std::int16_t>(op.pad_value));
   const std::size_t rows = std::min<std::size_t>(
       d.dims.h, img_h > op.pad_top ? img_h - op.pad_top : 0);
@@ -119,12 +160,13 @@ void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
   for (std::size_t ch = 0; ch < G * C; ++ch) {
     const std::uint8_t* plane =
         bytes + d.offset_of(static_cast<std::uint32_t>(ch), 0, 0);
+    std::int16_t* img_c = img.data() + (ch / C) * group_elems +
+                          op.pad_top * line_elems + op.pad_left * C + ch % C;
     for (std::size_t y = 0; y < rows; ++y) {
       const std::uint8_t* e = plane + y * d.line_stride;
-      std::int16_t* out = img.data() + ch * plane_elems +
-                          (y + op.pad_top) * img_w + op.pad_left;
+      std::int16_t* out = img_c + y * line_elems;
       for (std::size_t x = 0; x < cols; ++x) {
-        out[x] = static_cast<std::int8_t>(e[x * d.atom_bytes]);
+        out[x * C] = static_cast<std::int8_t>(e[x * d.atom_bytes]);
       }
     }
   }
@@ -136,12 +178,14 @@ void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
   const std::size_t blocks = (outs + max_block - 1) / max_block;
   const std::size_t block =
       ((outs + blocks - 1) / blocks + kTileP - 1) / kTileP * kTileP;
-  // (kChunk of slack: the last row's last chunk may overrun its pitch.)
-  std::vector<std::int16_t> patch(block * pitch + kChunk, 0);
+  // Row tails past `taps` stay zero in both scratches (only the spare
+  // weight rows of a partial tile go stale, and their sums are dropped).
+  std::vector<std::int16_t> patch(block * pitch, 0);
   std::vector<std::int16_t> wtile(kTileK * pitch, 0);
+  const std::size_t run_bytes = S * C * sizeof(std::int16_t);
 
   for (std::size_t g = 0; g < G; ++g) {
-    const std::int16_t* img_g = img.data() + g * C * plane_elems;
+    const std::int16_t* img_g = img.data() + g * group_elems;
     const std::size_t k_begin = g * k_per_group;
     const std::size_t k_end = k_begin + k_per_group;
     for (std::size_t p_begin = 0; p_begin < outs; p_begin += block) {
@@ -149,37 +193,24 @@ void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
       for (std::size_t j = 0; j < n; ++j) {
         const std::size_t p = p_begin + j;
         const std::int16_t* window =
-            img_g + (p / op.out_w) * op.stride_y * img_w +
-            (p % op.out_w) * op.stride_x;
-        // Runs are written in order, so each chunk's overrun is rewritten
-        // by the next run. The last one spills into the row's tail (or the
-        // next row's head): the tail taps meet zero weights, so they never
-        // need clearing.
+            img_g + (p / op.out_w) * op.stride_y * line_elems +
+            (p % op.out_w) * op.stride_x * C;
         std::int16_t* row = patch.data() + j * pitch;
-        for (std::size_t c = 0; c < C; ++c, window += plane_elems) {
-          for (std::size_t r = 0; r < R; ++r, row += S) {
-            // The first chunk is unconditional: written as one loop over
-            // chunks, the copy gets lowered to a memcpy call per run.
-            const std::int16_t* run = window + r * img_w;
-            std::memcpy(row, run, kChunk * sizeof(std::int16_t));
-            for (std::size_t s = kChunk; s < S; s += kChunk) {
-              std::memcpy(row + s, run + s, kChunk * sizeof(std::int16_t));
-            }
-          }
+        for (std::size_t r = 0; r < R; ++r) {
+          std::memcpy(row + r * S * C, window + r * line_elems, run_bytes);
         }
       }
       for (std::size_t k0 = k_begin; k0 < k_end; k0 += kTileK) {
         const std::size_t nk = std::min(kTileK, k_end - k0);
         for (std::size_t t = 0; t < nk; ++t) {
-          std::copy_n(wt + (k0 + t) * crs, crs, wtile.data() + t * pitch);
+          std::copy_n(krsc + (k0 + t) * taps, taps, wtile.data() + t * pitch);
         }
         for (std::size_t j = 0; j < n; j += kTileP) {
           std::int32_t sum[kTileK][kTileP];
           dot_tile(wtile.data(), patch.data() + j * pitch, pitch, sum);
           const std::size_t np = std::min(kTileP, n - j);
           for (std::size_t t = 0; t < nk; ++t) {
-            std::int32_t* out =
-                acc.i32.data() + (k0 + t) * outs + p_begin + j;
+            std::int32_t* out = acc + (k0 + t) * outs + p_begin + j;
             for (std::size_t u = 0; u < np; ++u) out[u] = sum[t][u];
           }
         }
@@ -188,14 +219,85 @@ void conv_int8_tiled(const ConvOp& op, const CubeBuffer& input,
   }
 }
 
+void conv_int8_portable(const ConvOp& op, const CubeBuffer& input,
+                        const std::int8_t* krsc, std::int32_t* acc) {
+  conv_int8_tiled(op, input, krsc, acc);
+}
+
+#ifdef NVSOC_CONV_AVX2
+[[gnu::target("avx2")]] void conv_int8_avx2(const ConvOp& op,
+                                            const CubeBuffer& input,
+                                            const std::int8_t* krsc,
+                                            std::int32_t* acc) {
+  conv_int8_tiled(op, input, krsc, acc);
+}
+#endif
+
 }  // namespace
+
+namespace internal {
+
+std::span<const Int8ConvVariant> runnable_int8_conv_variants() {
+  static const std::vector<Int8ConvVariant> runnable = [] {
+    std::vector<Int8ConvVariant> variants;
+#ifdef NVSOC_CONV_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      variants.push_back({"avx2", conv_int8_avx2});
+    }
+#endif
+    variants.push_back({"portable", conv_int8_portable});
+    return variants;
+  }();
+  return runnable;
+}
+
+}  // namespace internal
+
+const char* int8_conv_kernel_isa() {
+  return internal::runnable_int8_conv_variants().front().isa;
+}
+
+bool PackedConvWeights::matches(const ConvOp& op,
+                                std::span<const std::uint8_t> weights) const {
+  return kernel_k == op.kernel_k && kernel_c == op.kernel_c &&
+         kernel_h == op.kernel_h && kernel_w == op.kernel_w &&
+         weights.size() == source.size() &&
+         std::memcmp(weights.data(), source.data(), source.size()) == 0;
+}
+
+std::shared_ptr<const PackedConvWeights> pack_conv_weights(
+    const ConvOp& op, std::span<const std::uint8_t> weights) {
+  const std::size_t want = static_cast<std::size_t>(op.kernel_k) *
+                           op.kernel_c * op.kernel_h * op.kernel_w;
+  if (op.precision != Precision::kInt8 || weights.size() < want) {
+    return nullptr;
+  }
+  auto pack = std::make_shared<PackedConvWeights>();
+  pack->kernel_k = op.kernel_k;
+  pack->kernel_c = op.kernel_c;
+  pack->kernel_h = op.kernel_h;
+  pack->kernel_w = op.kernel_w;
+  pack->source.assign(weights.begin(), weights.end());
+  pack->krsc = reorder_krsc(op, weights);
+  return pack;
+}
 
 // ---------------------------------------------------------------------------
 // Convolution (CDMA/CBUF/CSC/CMAC/CACC)
 // ---------------------------------------------------------------------------
 
 ConvAccumulators conv_execute(const ConvOp& op, const CubeBuffer& input,
-                              std::span<const std::uint8_t> weights) {
+                              std::span<const std::uint8_t> weights,
+                              const PackedConvWeights* packed) {
+  return internal::conv_execute_with(
+      internal::runnable_int8_conv_variants().front(), op, input, weights,
+      packed);
+}
+
+ConvAccumulators internal::conv_execute_with(
+    const Int8ConvVariant& variant, const ConvOp& op, const CubeBuffer& input,
+    std::span<const std::uint8_t> weights, const PackedConvWeights* packed) {
   const std::uint32_t C = op.kernel_c;  // channels per group
   const std::uint32_t R = op.kernel_h;
   const std::uint32_t S = op.kernel_w;
@@ -250,7 +352,15 @@ ConvAccumulators conv_execute(const ConvOp& op, const CubeBuffer& input,
     const bool i32_safe = taps < (1ull << 31) / (128ull * 128ull) &&
                           op.pad_value >= -128 && op.pad_value <= 127;
     if (i32_safe) {
-      conv_int8_tiled(op, input, wt, acc);
+      std::vector<std::int8_t> reordered;
+      const std::int8_t* krsc = nullptr;
+      if (packed != nullptr && packed->matches(op, weights)) {
+        krsc = packed->krsc.data();
+      } else {
+        reordered = reorder_krsc(op, weights);
+        krsc = reordered.data();
+      }
+      variant.run(op, input, krsc, acc.i32.data());
     } else {
       const std::vector<std::int8_t> in = unpack_planar<std::int8_t>(input);
       // Reference walk (the fallback for the shapes above): int64 sums,
@@ -297,11 +407,10 @@ ConvAccumulators conv_execute(const ConvOp& op, const CubeBuffer& input,
     }
   } else {
     const std::vector<float> in = unpack_planar<float>(input);
-    const auto* wt_raw = reinterpret_cast<const std::uint16_t*>(weights.data());
     // Pre-decode the fp16 weights once.
     std::vector<float> wt(static_cast<std::size_t>(K) * C * R * S);
     for (std::size_t i = 0; i < wt.size(); ++i) {
-      wt[i] = half_bits_to_float(wt_raw[i]);
+      wt[i] = half_bits_to_float(load<std::uint16_t>(weights.data() + 2 * i));
     }
     const float padf = static_cast<float>(op.pad_value);
     acc.f32.assign(static_cast<std::size_t>(K) * op.out_h * op.out_w, 0.0f);
@@ -348,16 +457,9 @@ void sdp_execute(const SdpOp& op, const ConvAccumulators* acc,
   const bool int8_path = op.out_precision == Precision::kInt8;
   const std::uint32_t K = op.dims.c;
 
-  // BS channel: per-kernel bias table.
-  const std::int32_t* bias_i32 = nullptr;
-  const float* bias_f32 = nullptr;
-  if (op.bias_enable && !bias_table.empty()) {
-    if (int8_path) {
-      bias_i32 = reinterpret_cast<const std::int32_t*>(bias_table.data());
-    } else {
-      bias_f32 = reinterpret_cast<const float*>(bias_table.data());
-    }
-  }
+  // BS channel: per-kernel bias table (int32 or float32 entries).
+  const std::uint8_t* bias =
+      op.bias_enable && !bias_table.empty() ? bias_table.data() : nullptr;
   // X1 channel: per-element operand cube, same layout as dst, based at 0
   // within the fetched blob.
   SurfaceDesc elt_desc = op.dst;
@@ -388,8 +490,8 @@ void sdp_execute(const SdpOp& op, const ConvAccumulators* acc,
     const bool eltwise_enable = op.eltwise_enable;
     const bool relu_enable = op.relu_enable;
     for (std::uint32_t k = 0; k < K; ++k) {
-      const std::int64_t bias =
-          (op.bias_enable && bias_i32 != nullptr) ? bias_i32[k] : 0;
+      const std::int64_t bias_k =
+          bias != nullptr ? load<std::int32_t>(bias + 4 * std::size_t{k}) : 0;
       const std::uint64_t dst_k = dst.offset_of(k, 0, 0);
       const std::uint64_t elt_k =
           eltwise_enable ? elt_desc.offset_of(k, 0, 0) : 0;
@@ -415,7 +517,7 @@ void sdp_execute(const SdpOp& op, const ConvAccumulators* acc,
               acc_row != nullptr
                   ? acc_row[x]
                   : static_cast<std::int8_t>(src_row[x * src_atom]);
-          value += bias;
+          value += bias_k;
           // Output converter into the INT8 output scale, with rounding.
           // (Branch-free: the signs of real activations are random, so
           // data-dependent branches here would mispredict half the time.)
@@ -443,7 +545,7 @@ void sdp_execute(const SdpOp& op, const ConvAccumulators* acc,
           } else {
             value = src->get(k, y, x);
           }
-          if (op.bias_enable && bias_f32 != nullptr) value += bias_f32[k];
+          if (bias != nullptr) value += load<float>(bias + 4 * std::size_t{k});
           if (op.eltwise_enable) {
             const std::uint64_t off = elt_desc.offset_of(k, y, x);
             const std::uint16_t raw = static_cast<std::uint16_t>(

@@ -515,7 +515,9 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   // full; the inline rebuild after a quarantine skips it too (its
   // task-local schedule could never be reused).
   prepared.replay =
-      record_replay ? core::make_replay_schedule(tail->vp) : nullptr;
+      record_replay ? core::make_replay_schedule(tail->vp,
+                                                 prepared.frontend->loadable)
+                    : nullptr;
 
   // When the new trace programs the engine identically (it always does —
   // the register stream is input-independent), the configuration file and

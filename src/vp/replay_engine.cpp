@@ -79,42 +79,80 @@ struct ReplayEngine::WritePlan {
 };
 
 // ---------------------------------------------------------------------------
-// Arena: sparse paged replay memory with baseline snapshot + dirty tracking
+// Baseline: the post-preload page images, shared by an engine's arenas
+// ---------------------------------------------------------------------------
+
+/// Every page the weight preload touches, as it reads right after the
+/// preload (weight bytes, zeros around them). Built once per engine from
+/// the loadable, immutable afterwards, and shared by all of its arenas:
+/// an arena reads a preloaded page from here until it first writes it, and
+/// restores dirtied pages from here.
+struct ReplayEngine::Baseline {
+  Addr weight_base = 0;
+  std::size_t weight_bytes = 0;
+  std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> pages;
+
+  std::uint64_t bytes() const { return pages.size() * kPageBytes; }
+
+  bool matches(const compiler::Loadable& loadable) const {
+    return weight_base == loadable.weight_base &&
+           weight_bytes == loadable.weight_blob.size();
+  }
+
+  static std::shared_ptr<const Baseline> build(
+      const compiler::Loadable& loadable) {
+    auto baseline = std::make_shared<Baseline>();
+    baseline->weight_base = loadable.weight_base;
+    baseline->weight_bytes = loadable.weight_blob.size();
+    const std::span<const std::uint8_t> blob = loadable.weight_blob;
+    std::size_t done = 0;
+    while (done < blob.size()) {
+      const Addr cur = loadable.weight_base + done;
+      const std::uint64_t in_page = cur % kPageBytes;
+      const std::size_t chunk =
+          std::min<std::size_t>(blob.size() - done, kPageBytes - in_page);
+      auto& page = baseline->pages[cur / kPageBytes];
+      if (page == nullptr) {
+        page = std::make_unique<std::uint8_t[]>(kPageBytes);
+        std::memset(page.get(), 0, kPageBytes);
+      }
+      std::memcpy(page.get() + in_page, blob.data() + done, chunk);
+      done += chunk;
+    }
+    return baseline;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Arena: sparse paged replay memory over the shared baseline
 // ---------------------------------------------------------------------------
 
 /// Byte-addressable replay memory mirroring the VP DRAM's backdoor
-/// semantics: reads of never-written bytes return zero. Pages dirtied by a
+/// semantics after the weight preload: a page the arena never wrote reads
+/// as the shared baseline's page, or as zeros outside the preload. The
+/// first write to a page gives the arena its own copy. Pages dirtied by a
 /// replay are tracked so reset() restores exactly the post-preload state
-/// (weight bytes for baseline pages, zeros elsewhere) without reallocating
-/// or re-copying the weight blob.
+/// without reallocating or re-copying the weight blob.
 class ReplayEngine::Arena final : public nvdla::ReplayMemory {
  public:
-  explicit Arena(const compiler::Loadable& loadable)
+  Arena(const compiler::Loadable& loadable,
+        std::shared_ptr<const Baseline> baseline)
       : size_(align_up(loadable.arena_end + (1u << 20), 1u << 20)),
         weight_base_(loadable.weight_base),
         weight_bytes_(loadable.weight_blob.size()),
-        input_base_(loadable.input_surface.base) {
-    // Same preload as VirtualPlatform::run: parameters first; the input
-    // image is written per-replay by begin_image.
-    write(loadable.weight_base, loadable.weight_blob);
-    // Freeze the preload as the baseline reset() restores to.
-    for (auto& [index, page] : pages_) {
-      auto copy = std::make_unique<std::uint8_t[]>(kPageBytes);
-      std::memcpy(copy.get(), page.data.get(), kPageBytes);
-      baseline_.emplace(index, std::move(copy));
-      page.dirty = false;
-    }
-    dirty_.clear();
+        input_base_(loadable.input_surface.base),
+        baseline_(std::move(baseline)) {
+    // Same preload as VirtualPlatform::run, through the baseline: the
+    // parameters are in place; the input image is written per-replay by
+    // begin_image.
+    bounds_check(weight_base_, weight_bytes_);
   }
 
-  /// Bytes this arena holds: allocated pages plus their baseline
-  /// snapshots. The page tally is an atomic because a checked-out arena
-  /// keeps allocating while the engine walks its pool for accounting;
-  /// baseline_ is frozen by the constructor and safe to size concurrently.
+  /// Bytes this arena holds in its own pages (the shared baseline is the
+  /// engine's to count). The page tally is an atomic because a checked-out
+  /// arena keeps allocating while the engine walks its pool for accounting.
   std::uint64_t resident_bytes() const {
-    return (pages_allocated_.load(std::memory_order_relaxed) +
-            baseline_.size()) *
-           kPageBytes;
+    return pages_allocated_.load(std::memory_order_relaxed) * kPageBytes;
   }
 
   /// True when `loadable` matches the layout this arena was preloaded for.
@@ -141,11 +179,7 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
         continue;
       }
       auto& page = pages_.at(index);
-      if (const auto base = baseline_.find(index); base != baseline_.end()) {
-        std::memcpy(page.data.get(), base->second.get(), kPageBytes);
-      } else {
-        std::memset(page.data.get(), 0, kPageBytes);
-      }
+      restore(index, page);
       page.dirty = false;
       ++restored;
     }
@@ -188,11 +222,11 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
       const std::uint64_t in_page = cur % kPageBytes;
       const std::size_t chunk =
           std::min<std::size_t>(out.size() - done, kPageBytes - in_page);
-      const auto it = pages_.find(cur / kPageBytes);
-      if (it == pages_.end()) {
+      const std::uint8_t* page = page_bytes(cur / kPageBytes);
+      if (page == nullptr) {
         std::memset(out.data() + done, 0, chunk);
       } else {
-        std::memcpy(out.data() + done, it->second.data.get() + in_page, chunk);
+        std::memcpy(out.data() + done, page + in_page, chunk);
       }
       done += chunk;
     }
@@ -209,7 +243,7 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
       Page& page = pages_[cur / kPageBytes];
       if (page.data == nullptr) {
         page.data = std::make_unique<std::uint8_t[]>(kPageBytes);
-        std::memset(page.data.get(), 0, kPageBytes);
+        restore(cur / kPageBytes, page);
         pages_allocated_.fetch_add(1, std::memory_order_relaxed);
       }
       if (!page.dirty) {
@@ -227,6 +261,26 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
     bool dirty = false;
   };
 
+  /// The bytes page `index` reads as: the arena's own copy once written,
+  /// else the baseline's page, else nullptr (all zeros).
+  const std::uint8_t* page_bytes(std::uint64_t index) const {
+    if (const auto it = pages_.find(index); it != pages_.end()) {
+      return it->second.data.get();
+    }
+    const auto base = baseline_->pages.find(index);
+    return base != baseline_->pages.end() ? base->second.get() : nullptr;
+  }
+
+  /// Reset `page`'s bytes to their post-preload content.
+  void restore(std::uint64_t index, Page& page) const {
+    if (const auto base = baseline_->pages.find(index);
+        base != baseline_->pages.end()) {
+      std::memcpy(page.data.get(), base->second.get(), kPageBytes);
+    } else {
+      std::memset(page.data.get(), 0, kPageBytes);
+    }
+  }
+
   void bounds_check(Addr addr, std::size_t count) const {
     if (addr + count > size_) {
       throw std::runtime_error(
@@ -240,8 +294,7 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
   std::uint64_t weight_bytes_;
   Addr input_base_;
   std::unordered_map<std::uint64_t, Page> pages_;
-  /// Post-preload content of the pages the weight preload touched.
-  std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> baseline_;
+  std::shared_ptr<const Baseline> baseline_;
   std::vector<std::uint64_t> dirty_;  ///< pages written since last reset
   std::atomic<std::uint64_t> pages_allocated_{0};  ///< pages_ entry count
 };
@@ -257,32 +310,29 @@ ReplayEngine::~ReplayEngine() = default;
 
 ReplayEngine::Arena* ReplayEngine::acquire(
     const compiler::Loadable& loadable) {
-  {
-    MutexLock lock(mutex_);
-    if (!free_.empty()) {
-      Arena* arena = free_.back();
-      // Check before popping: a mismatching loadable must not strand the
-      // checked-in arena on the error path.
-      if (!arena->matches(loadable)) {
-        throw std::invalid_argument(
-            "ReplayEngine::run: loadable does not match the arena layout "
-            "this engine was built for (one engine serves one compiled "
-            "network)");
-      }
-      free_.pop_back();
-      return arena;
-    }
+  const auto mismatch = [] {
+    return std::invalid_argument(
+        "ReplayEngine::run: loadable does not match the arena layout this "
+        "engine was built for (one engine serves one compiled network)");
+  };
+  MutexLock lock(mutex_);
+  if (!free_.empty()) {
+    Arena* arena = free_.back();
+    // Check before popping: a mismatching loadable must not strand the
+    // checked-in arena on the error path.
+    if (!arena->matches(loadable)) throw mismatch();
+    free_.pop_back();
+    return arena;
   }
-  // Build outside the lock: arena construction copies the weight blob and
-  // must not serialize concurrent replays that already hold arenas.
-  auto built = std::make_unique<Arena>(loadable);
-  Arena* arena = built.get();
-  {
-    MutexLock lock(mutex_);
-    arenas_.push_back(std::move(built));
-  }
+  // The first arena (or the first after release_free_arenas dropped them
+  // all) freezes the baseline every later arena shares: one copy of the
+  // weight pages per engine, not one per worker. A new arena copies
+  // nothing, so it is built under the lock.
+  if (baseline_ == nullptr) baseline_ = Baseline::build(loadable);
+  if (!baseline_->matches(loadable)) throw mismatch();
+  arenas_.push_back(std::make_unique<Arena>(loadable, baseline_));
   arenas_built_.fetch_add(1, std::memory_order_relaxed);
-  return arena;
+  return arenas_.back().get();
 }
 
 void ReplayEngine::release(Arena* arena) {
@@ -307,7 +357,7 @@ void ReplayEngine::set_checkin_hook(std::function<void()> hook) {
 
 std::uint64_t ReplayEngine::resident_bytes() const {
   MutexLock lock(mutex_);
-  std::uint64_t total = 0;
+  std::uint64_t total = baseline_ != nullptr ? baseline_->bytes() : 0;
   for (const auto& arena : arenas_) total += arena->resident_bytes();
   return total;
 }
@@ -329,6 +379,12 @@ std::uint64_t ReplayEngine::release_free_arenas() {
       std::memory_order_relaxed);
   arenas_.erase(keep_end, arenas_.end());
   free_.clear();
+  // The shared baseline goes with the last arena (the next acquire
+  // rebuilds it); while any arena is checked out it stays.
+  if (arenas_.empty() && baseline_ != nullptr) {
+    freed += baseline_->bytes();
+    baseline_.reset();
+  }
   return freed;
 }
 

@@ -15,11 +15,14 @@
 // The engine is session-lifetime and thread-safe: each concurrently
 // replaying worker checks a private arena out of the engine's pool (built
 // on first use, so the steady state holds one arena per worker) and checks
-// it back in afterwards. Between images an arena is *reset*, not rebuilt:
-// every page the previous replay dirtied is restored to the post-preload
-// baseline (weight bytes back in place, everything else back to zero) and
-// only the new packed input is written — eliminating the per-image sparse
-// allocation and multi-MB weight-blob copy of a from-scratch arena.
+// it back in afterwards. The preloaded parameter pages are held once per
+// engine, as an immutable baseline every arena reads through until it
+// writes a page of its own. Between images an arena is *reset*, not
+// rebuilt: every page the previous replay dirtied is restored to the
+// post-preload baseline (weight bytes back in place, everything else back
+// to zero) and only the new packed input is written — eliminating the
+// per-image sparse allocation and multi-MB weight-blob copy of a
+// from-scratch arena.
 //
 // The reset itself is *surface-aware*: from the recorded op descriptors
 // the engine proves (replay_access_ranges + a read-before-write audit)
@@ -101,14 +104,16 @@ class ReplayEngine {
     return unsafe_plans_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes currently held by this engine's arenas: allocated pages plus
-  /// their baseline snapshots. This is the resident cost a byte-budget
+  /// Bytes currently held by this engine's arenas: their allocated pages
+  /// plus the one post-preload baseline they share. This is the resident
+  /// cost a byte-budget
   /// eviction policy reclaims — checked-out arenas are counted too (their
   /// page tallies are atomics, so an in-flight replay growing its arena
   /// never races this walk).
   std::uint64_t resident_bytes() const;
 
-  /// Drop every checked-in arena and return the bytes freed. Arenas
+  /// Drop every checked-in arena and return the bytes freed (the shared
+  /// baseline too, once no arena is left). Arenas
   /// checked out by in-flight replays survive untouched and return to the
   /// pool on release, where a later call can reclaim them; the engine
   /// itself stays valid and rebuilds an arena from the loadable on the
@@ -132,6 +137,7 @@ class ReplayEngine {
 
  private:
   class Arena;
+  struct Baseline;
   struct WritePlan;
 
   Arena* acquire(const compiler::Loadable& loadable);
@@ -147,6 +153,9 @@ class ReplayEngine {
   std::vector<std::unique_ptr<Arena>> arenas_ GUARDED_BY(mutex_);
   /// Checked-in arenas, ready to reset.
   std::vector<Arena*> free_ GUARDED_BY(mutex_);
+  /// Post-preload page images shared by every arena (null while none is
+  /// built).
+  std::shared_ptr<const Baseline> baseline_ GUARDED_BY(mutex_);
   /// ops identity of plan_.
   const nvdla::ReplayOp* plan_key_ GUARDED_BY(mutex_) = nullptr;
   std::size_t plan_ops_ GUARDED_BY(mutex_) = 0;

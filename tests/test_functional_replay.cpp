@@ -1,9 +1,10 @@
 // Functional replay engine: bit-exactness of replayed outputs and cycle
 // counts against full cycle-accurate simulation on all four backends, the
 // `?mode=replay` SoC variants, replay-schedule sharing across pooled
-// workers, the thread-safe compute-once refresh memo (the old lazy
-// optional raced under concurrent pooled tasks), StageCounters::replay
-// accounting, and the memory-sizing spec vocabulary.
+// workers, the schedule's packed conv weights, the thread-safe
+// compute-once refresh memo (the old lazy optional raced under concurrent
+// pooled tasks), StageCounters::replay accounting, and the memory-sizing
+// spec vocabulary.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -71,6 +72,31 @@ TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
   EXPECT_LT(engine.pages_restored(),
             engine.images_replayed() *
                 static_cast<std::uint64_t>(engine.resident_pages()));
+}
+
+/// Staging a schedule packs every int8 conv op's weights once, from the
+/// loadable's blob, and the residency budget sees the packs.
+TEST(ScheduleWeightPacks, EveryConvOpCarriesAPackCountedInScheduleBytes) {
+  InferenceSession session(models::lenet5());
+  const auto& schedule =
+      session.prepare(session.default_input()).replay_schedule();
+  std::uint64_t pack_bytes = 0;
+  std::size_t convs = 0;
+  for (const nvdla::ReplayOp& op : schedule.ops) {
+    if (op.kind != nvdla::ReplayOp::Kind::kConv) {
+      EXPECT_EQ(op.packed_weights, nullptr);
+      continue;
+    }
+    ++convs;
+    ASSERT_NE(op.packed_weights, nullptr);
+    EXPECT_EQ(op.packed_weights->source.size(), op.conv.weight_bytes);
+    pack_bytes += op.packed_weights->bytes();
+  }
+  EXPECT_GT(convs, 0u);
+  EXPECT_EQ(schedule.schedule_bytes(),
+            sizeof(core::ReplaySchedule) +
+                schedule.ops.capacity() * sizeof(nvdla::ReplayOp) +
+                pack_bytes);
 }
 
 // ---------------------------------------------------------------------------

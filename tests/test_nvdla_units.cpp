@@ -1,6 +1,8 @@
 // NVDLA functional-unit tests: convolution / SDP / PDP / CDP math against
 // naive references, INT8 and FP16 paths, grouped convolution, a seeded
-// differential sweep of the int8 conv kernel, and cycle model properties.
+// differential sweep of every int8 conv kernel variant the host can run,
+// the packed-weights fallback of a replayed conv, and cycle model
+// properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +18,9 @@
 #include "common/strfmt.hpp"
 #include "compiler/network.hpp"
 #include "models/models.hpp"
+#include "nvdla/conv_kernel.hpp"
 #include "nvdla/ops.hpp"
+#include "nvdla/replay.hpp"
 
 namespace nvsoc::nvdla {
 namespace {
@@ -263,8 +267,10 @@ std::string describe(const SweepCase& sc, std::uint64_t seed) {
 }
 
 /// Fill the case with seeded data (`extreme` pins every input and weight
-/// to -128, the largest product), run both paths and report the first
-/// mismatch with the seed and shape.
+/// to -128, the largest product), run every kernel variant the host can
+/// run — on the raw weights and on their pack — against the naive
+/// reference, and report the first mismatch with the variant, seed and
+/// shape.
 void run_sweep_case(SweepCase sc, std::uint64_t seed, bool extreme = false) {
   Rng rng(seed);
   SurfaceDesc desc = SurfaceDesc::packed(0, sc.in, Precision::kInt8, sc.atom);
@@ -284,17 +290,28 @@ void run_sweep_case(SweepCase sc, std::uint64_t seed, bool extreme = false) {
   }
   op.weight_bytes = static_cast<std::uint32_t>(weights.size());
 
-  const ConvAccumulators acc = conv_execute(op, input, weights);
   const std::vector<std::int32_t> want = naive_conv_i8(op, input, weights);
-  ASSERT_EQ(acc.i32.size(), want.size()) << describe(sc, seed);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (acc.i32[i] != want[i]) {
-      const std::size_t plane = static_cast<std::size_t>(op.out_h) * op.out_w;
-      ADD_FAILURE() << describe(sc, seed) << ": first mismatch at k "
-                    << i / plane << " y " << i % plane / op.out_w << " x "
-                    << i % op.out_w << ": " << acc.i32[i] << " != "
-                    << want[i];
-      return;
+  const auto pack = pack_conv_weights(op, weights);
+  ASSERT_NE(pack, nullptr) << describe(sc, seed);
+  for (const internal::Int8ConvVariant& variant :
+       internal::runnable_int8_conv_variants()) {
+    for (const PackedConvWeights* packed :
+         {static_cast<const PackedConvWeights*>(nullptr), pack.get()}) {
+      const ConvAccumulators acc =
+          internal::conv_execute_with(variant, op, input, weights, packed);
+      ASSERT_EQ(acc.i32.size(), want.size()) << describe(sc, seed);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (acc.i32[i] != want[i]) {
+          const std::size_t plane =
+              static_cast<std::size_t>(op.out_h) * op.out_w;
+          ADD_FAILURE() << variant.isa << (packed ? " packed " : " ")
+                        << describe(sc, seed) << ": first mismatch at k "
+                        << i / plane << " y " << i % plane / op.out_w
+                        << " x " << i % op.out_w << ": " << acc.i32[i]
+                        << " != " << want[i];
+          return;
+        }
+      }
     }
   }
 }
@@ -447,6 +464,93 @@ TEST(ConvSweep, TapCountsAroundTheInt32LimitMatchTheNaiveReference) {
     sc.op.out_h = 4;
     run_sweep_case(sc, 9);
   }
+}
+
+TEST(ConvSweep, RunsEveryVariantTheHostSupports) {
+  // The sweeps above run each listed variant; the list must hold the
+  // portable kernel, lead with the one conv_execute dispatches to, and
+  // include the AVX2 kernel wherever the build has it and the CPU runs it.
+  const auto variants = internal::runnable_int8_conv_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants.front().isa, int8_conv_kernel_isa());
+  EXPECT_STREQ(variants.back().isa, "portable");
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_STREQ(variants.front().isa, "avx2");
+    EXPECT_EQ(variants.size(), 2u);
+  }
+#endif
+}
+
+/// Flat byte memory for replaying single ops.
+class FlatMemory final : public ReplayMemory {
+ public:
+  explicit FlatMemory(std::size_t bytes) : bytes_(bytes, 0) {}
+  void read(Addr addr, std::span<std::uint8_t> out) const override {
+    std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  }
+  void write(Addr addr, std::span<const std::uint8_t> data) override {
+    std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST(ConvPack, ReplayWithMismatchedWeightBytesReordersWhatItRead) {
+  // A replayed conv whose weight bytes in memory differ from its pack's
+  // source by one bit must ignore the pack: its output is conv_execute's
+  // on the bytes actually read. Small values keep every sum inside int8,
+  // so the flipped bit shows in the output instead of saturating away.
+  Rng rng(21);
+  const CubeDims in_dims{6, 5, 3};
+  ReplayOp op;
+  op.kind = ReplayOp::Kind::kConv;
+  ConvOp& conv = op.conv;
+  conv.input = SurfaceDesc::packed(0x100, in_dims, Precision::kInt8, 8);
+  conv.kernel_w = conv.kernel_h = 3;
+  conv.kernel_c = 3;
+  conv.kernel_k = 5;
+  conv.pad_left = conv.pad_right = conv.pad_top = conv.pad_bottom = 1;
+  conv.out_w = 6;
+  conv.out_h = 5;
+  conv.weight_addr = 0x1000;
+  std::vector<std::uint8_t> weights(5 * 3 * 3 * 3);
+  for (auto& w : weights) w = static_cast<std::uint8_t>(rng.next_range(-1, 1));
+  conv.weight_bytes = static_cast<std::uint32_t>(weights.size());
+  SdpOp& sdp = op.sdp;
+  sdp.dims = {6, 5, 5};
+  sdp.dst = SurfaceDesc::packed(0x2000, sdp.dims, Precision::kInt8, 8);
+  op.packed_weights = pack_conv_weights(conv, weights);
+  ASSERT_NE(op.packed_weights, nullptr);
+
+  CubeBuffer input(conv.input);
+  for (auto& b : input.bytes()) {
+    b = static_cast<std::uint8_t>(rng.next_range(-3, 3));
+  }
+  std::vector<std::uint8_t> flipped = weights;
+  flipped[0] ^= 0x01;
+
+  const auto replay_with = [&](const std::vector<std::uint8_t>& in_memory) {
+    FlatMemory mem(0x3000);
+    mem.write(conv.input.base, input.bytes());
+    mem.write(conv.weight_addr, in_memory);
+    replay_op(NvdlaConfig::small(), op, mem);
+    std::vector<std::uint8_t> out(sdp.dst.span_bytes());
+    mem.read(sdp.dst.base, out);
+    return out;
+  };
+  const auto direct = [&](const std::vector<std::uint8_t>& bytes) {
+    const ConvAccumulators acc = conv_execute(conv, input, bytes);
+    CubeBuffer out(sdp.dst);
+    sdp_execute(sdp, &acc, nullptr, {}, {}, out);
+    return std::vector<std::uint8_t>(out.bytes().begin(), out.bytes().end());
+  };
+
+  EXPECT_EQ(replay_with(weights), direct(weights));
+  const std::vector<std::uint8_t> want = direct(flipped);
+  ASSERT_NE(want, direct(weights)) << "the flipped bit must change the output";
+  EXPECT_EQ(replay_with(flipped), want);
 }
 
 TEST(Sdp, BiasCvtReluPipeline) {
