@@ -40,8 +40,9 @@ from typing import Any, Optional, cast
 #  * replay_speedup_vs_full compares identical pooled runs that differ only
 #    in the replay schedule being present — parallelism cancels, so a
 #    replay path that silently degrades into re-simulation reads ~1.0 on
-#    any host; 1.25 catches that with margin (healthy: ~1.8 on the
-#    kernel-bound vp backend, ~6x on the ISS-bound SoCs).
+#    any host; 1.25 catches that with margin (healthy, on a 4-vCPU
+#    x86-64 host over three perf_check runs: 1.9-2.5 on the kernel-bound
+#    vp backend, 4.6-5.7 on the SoCs).
 #  * replay_serving_speedup compares pooled replay serving against the
 #    legacy sequential serving path (eager FP32 reference + one full
 #    simulation per image); the end-to-end fast-path win must stay >= 2x.

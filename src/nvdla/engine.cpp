@@ -178,11 +178,6 @@ CsbResponse Nvdla::csb_access(const CsbRequest& req) {
   }
 
   if (req.is_write) ++stats_.csb_writes; else ++stats_.csb_reads;
-  // VP trace line; the toolflow's parser keys on the component name and the
-  // iswrite flag, mirroring the NVDLA virtual platform's csb_adaptor log.
-  csb_log_.trace("addr=0x{:08x} data=0x{:08x} iswrite={} name={}", req.addr,
-                 req.is_write ? req.wdata : rsp.rdata, req.is_write ? 1 : 0,
-                 register_name(req.addr));
   return rsp;
 }
 

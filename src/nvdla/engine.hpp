@@ -20,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/log.hpp"
 #include "nvdla/config.hpp"
 #include "nvdla/dbb.hpp"
 #include "nvdla/ops.hpp"
@@ -151,7 +150,6 @@ class Nvdla final : public CsbTarget {
   NvdlaConfig config_;
   DbbMaster dbb_;
   std::shared_ptr<fault::Injector> fault_;
-  Logger csb_log_{"nvdla.csb_adaptor"};
 
   std::array<UnitState, kNumUnits> units_{};
   std::uint32_t intr_mask_ = 0;

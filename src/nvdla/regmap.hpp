@@ -4,8 +4,7 @@
 // functional unit, a common control block at the start of each page
 // (S_STATUS / S_POINTER / D_OP_ENABLE) and unit-specific descriptor
 // registers after it. The register subset is the one the nvsoc compiler
-// programs; names follow the NVDLA hardware manual so VP traces read like
-// real nvdla.csb_adaptor logs.
+// programs; names follow the NVDLA hardware manual.
 #pragma once
 
 #include <cstdint>
@@ -204,8 +203,8 @@ inline constexpr Addr kSrcStride = 0x1C;
 inline constexpr Addr kDstStride = 0x20;
 }  // namespace bdma
 
-/// Human-readable register name ("cdma.d_dain_addr") for VP traces and
-/// diagnostics; falls back to "unit.+0xOFF".
+/// Human-readable register name ("cdma.d_dain_addr") for the annotated
+/// bare-metal assembly; falls back to "unit.+0xOFF".
 std::string register_name(Addr csb_addr);
 
 }  // namespace nvsoc::nvdla

@@ -3,6 +3,7 @@
 // FPGA resource table, and the Linux-baseline shape properties.
 #include <gtest/gtest.h>
 
+#include "core/bare_metal_flow.hpp"
 #include "fpga/resources.hpp"
 #include "models/models.hpp"
 #include "runtime/inference_session.hpp"
@@ -89,6 +90,52 @@ TEST(Flow, PollingLoopsSpinUntilCompletion) {
   EXPECT_GT(exec.soc->census.apb2csb.reads,
             lenet().prepared().config_file().read_count() * 10);
   EXPECT_GT(exec.soc->cpu.stats.taken_branches, 100u);
+}
+
+TEST(Flow, LeNetSimulatedStatisticsArePinned) {
+  // Every simulated number of the LeNet-5 bare-metal run, pinned to its
+  // recorded value: a change that only speeds up the simulator must leave
+  // all of them identical.
+  const auto exec =
+      core::execute_on_soc(lenet().prepared(), lenet().config());
+  EXPECT_EQ(exec.cycles, 369783u);
+  EXPECT_EQ(exec.predicted_class, 8u);
+  EXPECT_EQ(exec.cpu.stats.instructions, 67830u);
+
+  const auto& engine = exec.engine_stats;
+  EXPECT_EQ(engine.csb_reads, 33421u);
+  EXPECT_EQ(engine.csb_writes, 235u);
+  EXPECT_EQ(engine.conv_ops, 4u);
+  EXPECT_EQ(engine.sdp_ops, 0u);
+  EXPECT_EQ(engine.pdp_ops, 2u);
+  EXPECT_EQ(engine.cdp_ops, 0u);
+  EXPECT_EQ(engine.bdma_ops, 0u);
+
+  const auto& c = exec.census;
+  // Every CSB access crosses decoder -> ahb2apb -> apb2csb, 4 bytes each.
+  for (const BusStats* csb_path : {&c.decoder, &c.ahb2apb, &c.apb2csb}) {
+    EXPECT_EQ(csb_path->reads, 33421u);
+    EXPECT_EQ(csb_path->writes, 235u);
+    EXPECT_EQ(csb_path->bytes_read, 133684u);
+    EXPECT_EQ(csb_path->bytes_written, 940u);
+    EXPECT_EQ(csb_path->errors, 0u);
+  }
+  EXPECT_EQ(c.decoder.stall_cycles, 201701u);
+  EXPECT_EQ(c.ahb2apb.stall_cycles, 100733u);
+  EXPECT_EQ(c.apb2csb.stall_cycles, 67077u);
+  EXPECT_EQ(c.ahb2axi.transfers(), 0u);
+  EXPECT_EQ(c.width_converter.reads, 1807u);
+  EXPECT_EQ(c.width_converter.writes, 89u);
+  EXPECT_EQ(c.width_converter.bytes_read, 461356u);
+  EXPECT_EQ(c.width_converter.bytes_written, 22280u);
+  EXPECT_EQ(c.width_converter.stall_cycles, 7763u);
+  EXPECT_EQ(c.arbiter_cpu.grants, 0u);
+  EXPECT_EQ(c.arbiter_dbb.grants, 120909u);
+  EXPECT_EQ(c.arbiter_dbb.wait_cycles, 0u);
+  EXPECT_EQ(c.arbiter_dbb.bytes, 483636u);
+  EXPECT_EQ(c.dbb.bytes_read, 461356u);
+  EXPECT_EQ(c.dbb.bytes_written, 22280u);
+  EXPECT_EQ(c.dbb.bursts, 1896u);
 }
 
 TEST(Flow, ResNet18Int8EndToEnd) {
