@@ -35,7 +35,7 @@ bool ReplaySchedule::ops_intact() const {
   return checksum_ops(ops) == ops_checksum;
 }
 
-const SocExecution& ReplaySchedule::platform_record(
+SocExecution PlatformEnvelopes::platform_record(
     const std::string& key,
     const std::function<SocExecution()>& compute) const {
   PlatformOnce* slot = nullptr;
@@ -46,21 +46,25 @@ const SocExecution& ReplaySchedule::platform_record(
     slot = entry.get();
   }
   // The full simulation runs outside the map lock (other keys stay
-  // available) but inside the slot's call_once: exactly one recording run
-  // per key, with concurrent callers blocking until it lands.
-  std::call_once(slot->once, [&] {
+  // available) but inside the slot's: exactly one successful recording run
+  // per key, with concurrent callers blocking until it lands. Not
+  // std::call_once: the compute may throw (a fault-armed recording run),
+  // and a throwing callable must leave the slot open for the retry.
+  MutexLock lock(slot->mutex);
+  if (!slot->ready) {
     slot->exec = compute();
     // The envelope is input-independent; the recording run's functional
     // results are not part of the record.
-    slot->exec.output.clear();
+    slot->exec.output = {};
     slot->exec.predicted_class = 0;
-  });
+    slot->ready = true;
+    bytes_.fetch_add(sizeof(PlatformOnce) + key.capacity() +
+                         slot->exec.cpu.detail.capacity(),
+                     std::memory_order_release);
+    count_.fetch_add(1, std::memory_order_release);
+    recorded_->fetch_add(1, std::memory_order_relaxed);
+  }
   return slot->exec;
-}
-
-std::size_t ReplaySchedule::platform_record_count() const {
-  MutexLock lock(platforms_mutex_);
-  return platforms_.size();
 }
 
 vp::ReplayEngine& ReplaySchedule::engine(
@@ -309,7 +313,7 @@ SocExecution execute_on_system_top(const PreparedModel& prepared,
 namespace {
 
 /// Everything input-independent that shapes a SoC-platform cycle count —
-/// the record key of ReplaySchedule::platform_record: the NVDLA tree (it
+/// the record key of PlatformEnvelopes::platform_record: the NVDLA tree (it
 /// sets the analytic timing), the wait mode, the memory sizes, and the
 /// SoC clock. The clock matters on system_top — the CDC rescales DDR
 /// latencies by the fabric/MIG clock ratio — so a re-clocked variant must
@@ -332,10 +336,9 @@ std::string platform_key(Platform platform, const FlowConfig& config) {
                 config.run_instruction_budget);
 }
 
-const SocExecution& platform_record(Platform platform,
-                                    const PreparedModel& prepared,
-                                    const FlowConfig& config) {
-  return prepared.replay_schedule().platform_record(
+SocExecution platform_record(Platform platform, const PreparedModel& prepared,
+                             const FlowConfig& config) {
+  return prepared.envelopes().platform_record(
       platform_key(platform, config), [&] {
         return platform == Platform::kSoc
                    ? execute_on_soc(prepared, config)

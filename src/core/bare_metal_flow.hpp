@@ -84,19 +84,6 @@ struct FrontendArtifacts {
   compiler::Loadable loadable;
 };
 
-/// Artifacts of one virtual-platform trace. The CSB register stream is
-/// input-independent, so the configuration file, the bare-metal program
-/// and the weight-file preload image captured here serve *every* image of
-/// the session, not just the one that was traced. Immutable once built and
-/// shared read-only like FrontendArtifacts; `vp.output`/`vp.total_cycles`
-/// describe the traced image specifically (see
-/// PreparedModel::vp_matches_input).
-struct TraceArtifacts {
-  vp::VpRunResult vp;                   ///< VP execution + traces
-  toolflow::ConfigFile config_file;
-  toolflow::BareMetalProgram program;   ///< assembly + machine code
-};
-
 /// Result of running the bare-metal program on the SoC model. CPU-side
 /// counters (instructions, stalls, decode-cache evidence) live in
 /// `cpu.stats` — the RunResult snapshot is the single source of truth.
@@ -108,6 +95,76 @@ struct SocExecution {
   std::size_t predicted_class = 0;
   soc::SocBusCensus census;
   nvdla::EngineStats engine_stats;
+};
+
+/// Input-independent full-platform execution envelopes for the
+/// `?mode=replay` SoC backends, recorded by the first cycle-accurate run
+/// per platform key (backend kind + flow knobs that shape the cycle
+/// count). An envelope is a function of the bare-metal program and the key
+/// alone, never of the image, so the set lives beside the program it
+/// measured (TraceArtifacts) and outlives the replay schedule: a budget
+/// eviction drops the schedule, and the restage that re-traces the VP
+/// finds every envelope already recorded.
+class PlatformEnvelopes {
+ public:
+  /// `recorded` is bumped once per envelope computed — the owner's
+  /// evidence counter, shared so it outlives either of them.
+  explicit PlatformEnvelopes(
+      std::shared_ptr<std::atomic<std::uint32_t>> recorded)
+      : recorded_(std::move(recorded)) {}
+
+  /// The envelope for `key`, computed by `compute` on first use. Concurrent
+  /// callers of one key block until the record exists; other keys stay
+  /// available. A throwing `compute` leaves the key unrecorded, so a retry
+  /// computes again. The record carries cycles and platform stats only —
+  /// output/predicted_class are input-dependent and left to the functional
+  /// replay.
+  SocExecution platform_record(
+      const std::string& key,
+      const std::function<SocExecution()>& compute) const;
+
+  /// How many envelopes are recorded (tests use it to assert that
+  /// prepare_async staged the `?mode=replay` envelope eagerly, off the
+  /// serving path).
+  std::size_t platform_record_count() const {
+    return count_.load(std::memory_order_acquire);
+  }
+
+  /// Heap bytes of the recorded envelopes — what a model keeps resident
+  /// while its schedule is evicted (0 until the first record lands).
+  std::uint64_t bytes() const { return bytes_.load(std::memory_order_acquire); }
+
+ private:
+  struct PlatformOnce {
+    Mutex mutex;
+    bool ready GUARDED_BY(mutex) = false;
+    SocExecution exec GUARDED_BY(mutex);
+  };
+  mutable Mutex platforms_mutex_;
+  /// Node-based on purpose: records keep a stable address once created.
+  mutable std::map<std::string, std::unique_ptr<PlatformOnce>> platforms_
+      GUARDED_BY(platforms_mutex_);
+  /// Published when a record lands, so the accessors never wait on a
+  /// recording run in progress.
+  mutable std::atomic<std::size_t> count_{0};
+  mutable std::atomic<std::uint64_t> bytes_{0};
+  std::shared_ptr<std::atomic<std::uint32_t>> recorded_;
+};
+
+/// Artifacts of one virtual-platform trace. The CSB register stream is
+/// input-independent, so the configuration file, the bare-metal program
+/// and the weight-file preload image captured here serve *every* image of
+/// the session, not just the one that was traced. Immutable once built and
+/// shared read-only like FrontendArtifacts; `vp.output`/`vp.total_cycles`
+/// describe the traced image specifically (see
+/// PreparedModel::vp_matches_input).
+struct TraceArtifacts {
+  vp::VpRunResult vp;                   ///< VP execution + traces
+  toolflow::ConfigFile config_file;
+  toolflow::BareMetalProgram program;   ///< assembly + machine code
+  /// The envelopes measured from `program`. A restage that reuses the
+  /// program (same CSB stream) shares this set rather than starting one.
+  std::shared_ptr<const PlatformEnvelopes> envelopes;
 };
 
 /// The recorded replay schedule of one (network, hardware-tree) pair — the
@@ -132,22 +189,6 @@ struct ReplaySchedule {
   /// silently corrupted in memory.
   std::uint64_t ops_checksum = 0;
   bool ops_intact() const;
-
-  /// Input-independent full-platform execution envelopes for the
-  /// `?mode=replay` SoC backends, recorded by the first cycle-accurate run
-  /// per platform key (backend kind + flow knobs that shape the cycle
-  /// count). `compute` runs at most once per key; concurrent pooled
-  /// workers block until the record exists. The stored SocExecution
-  /// carries cycles and platform stats only — output/predicted_class are
-  /// input-dependent and left to the functional replay.
-  const SocExecution& platform_record(
-      const std::string& key,
-      const std::function<SocExecution()>& compute) const;
-
-  /// How many platform envelopes have been recorded on this schedule
-  /// (tests use it to assert that prepare_async staged the `?mode=replay`
-  /// envelope eagerly, off the serving path).
-  std::size_t platform_record_count() const;
 
   /// The schedule's session-lifetime functional replay engine: built once
   /// (thread-safe), it keeps one preloaded arena per concurrently
@@ -193,14 +234,6 @@ struct ReplaySchedule {
   void set_checkin_hook(std::function<void()> hook) const;
 
  private:
-  struct PlatformOnce {
-    std::once_flag once;
-    SocExecution exec;
-  };
-  mutable Mutex platforms_mutex_;
-  /// Node-based on purpose: records keep a stable address once created.
-  mutable std::map<std::string, std::unique_ptr<PlatformOnce>> platforms_
-      GUARDED_BY(platforms_mutex_);
   mutable std::once_flag engine_once_;
   /// Written only inside the engine_once_ call_once (a discipline the
   /// capability analysis cannot express), read afterwards — unannotated.
@@ -299,6 +332,7 @@ struct PreparedModel {
     return tail->config_file;
   }
   const toolflow::BareMetalProgram& program() const { return tail->program; }
+  const PlatformEnvelopes& envelopes() const { return *tail->envelopes; }
   const ReplaySchedule& replay_schedule() const { return *replay; }
 
   /// The DRAM preload image for the *current* input: the shared weight
@@ -346,11 +380,11 @@ enum class Platform {
 /// Replay-mode execution on a SoC platform (`?mode=replay`): the first
 /// call per (platform, flow) key runs the full cycle-accurate simulation
 /// and records its input-independent envelope (cycles, bus census, engine
-/// and CPU stats) on the replay schedule; every later call replays the
-/// functional ops for the output and reports the recorded envelope —
-/// bit-identical to what a full re-run would produce, at functional-op
-/// cost. Requires has_replay() (callers fall back to the full executors
-/// otherwise).
+/// and CPU stats) in the trace core's PlatformEnvelopes; every later call
+/// replays the functional ops for the output and reports the recorded
+/// envelope — bit-identical to what a full re-run would produce, at
+/// functional-op cost. Requires has_replay() (callers fall back to the
+/// full executors otherwise).
 SocExecution replay_on(Platform platform, const PreparedModel& prepared,
                        const FlowConfig& config);
 

@@ -40,7 +40,7 @@ std::uint32_t Nvdla::reg(Unit u, unsigned group, Addr offset) const {
 std::uint32_t Nvdla::intr_status_at(Cycle now) const {
   std::uint32_t status = 0;
   for (const auto& event : intr_events_) {
-    if (!event.cleared && event.at <= now) status |= 1u << event.bit;
+    if (event.at <= now) status |= 1u << event.bit;
   }
   return status;
 }
@@ -52,7 +52,7 @@ bool Nvdla::irq_pending(Cycle now) const {
 std::optional<Cycle> Nvdla::next_completion_after(Cycle now) const {
   std::optional<Cycle> best;
   for (const auto& event : intr_events_) {
-    if (event.cleared || event.at <= now) continue;
+    if (event.at <= now) continue;
     if (!best || event.at < *best) best = event.at;
   }
   return best;
@@ -71,18 +71,17 @@ CsbResponse Nvdla::glb_access(const CsbRequest& req) {
         // for every bit written.
         for (unsigned bit = 0; bit < 32; ++bit) {
           if (req.wdata & (1u << bit)) {
-            intr_events_.push_back({bit, req.start, false});
+            intr_events_.push_back({bit, req.start});
           }
         }
         break;
       case glb::kIntrStatus:
-        // W1C: clears only events visible at the write's timestamp.
-        for (auto& event : intr_events_) {
-          if (!event.cleared && event.at <= req.start &&
-              (req.wdata & (1u << event.bit))) {
-            event.cleared = true;
-          }
-        }
+        // W1C: clears only events visible at the write's timestamp. A
+        // cleared event is erased, so the status polls and the completion
+        // look-ahead scan only the events still pending.
+        std::erase_if(intr_events_, [&](const IntrEvent& event) {
+          return event.at <= req.start && (req.wdata & (1u << event.bit));
+        });
         break;
       default:
         break;  // writes to RO/unknown GLB registers are ignored
@@ -383,7 +382,7 @@ void Nvdla::try_launch(Unit enabled_unit, unsigned group, Cycle now) {
 void Nvdla::post_interrupt(glb::IntrSource source, unsigned group, Cycle at) {
   const std::uint32_t bit =
       static_cast<std::uint32_t>(source) * 2 + (group & 1);
-  intr_events_.push_back({bit, at, false});
+  intr_events_.push_back({bit, at});
 }
 
 void Nvdla::record_op(Unit u, Cycle launch, Cycle complete,

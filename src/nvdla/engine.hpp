@@ -107,10 +107,10 @@ class Nvdla final : public CsbTarget {
     std::array<bool, kNumGroups> armed{};
   };
 
+  /// A posted interrupt, pending until a W1C write erases it.
   struct IntrEvent {
     std::uint32_t bit = 0;
     Cycle at = 0;
-    bool cleared = false;
   };
 
   UnitState& unit(Unit u) { return units_[static_cast<std::size_t>(u)]; }

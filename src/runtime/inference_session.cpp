@@ -522,12 +522,16 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   // When the new trace programs the engine identically (it always does —
   // the register stream is input-independent), the configuration file and
   // program are reused from the previous shared core instead of
-  // regenerated. The old core itself is immutable: snapshots handed to
-  // in-flight tasks keep it alive and untouched.
+  // regenerated, and so are the SoC envelopes measured from that program.
+  // The old core itself is immutable: snapshots handed to in-flight tasks
+  // keep it alive and untouched.
   if (had_trace && prepared.tail->vp.trace.csb == tail->vp.trace.csb) {
     tail->config_file = prepared.tail->config_file;
     tail->program = prepared.tail->program;
+    tail->envelopes = prepared.tail->envelopes;
   } else {
+    tail->envelopes =
+        std::make_shared<const core::PlatformEnvelopes>(envelopes_recorded_);
     tail->config_file = toolflow::ConfigFile::from_trace(tail->vp.trace);
     ++counters_.config_file;
     toolflow::AsmOptions asm_options;
@@ -673,11 +677,7 @@ void InferenceSession::start_staging_locked(ModelState& model,
 }
 
 void InferenceSession::try_adopt_staging_locked(ModelState& model) {
-  if (model.staging == nullptr ||
-      model.staging->done.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    return;
-  }
+  if (ready_staging_locked(model) == nullptr) return;
   const Status status = model.staging->done.get();
   if (status.is_ok()) {
     auto outgoing_schedule = model.prepared.replay;
@@ -734,24 +734,40 @@ void InferenceSession::drain_all_staging() {
 // Byte-budgeted replay residency
 // ---------------------------------------------------------------------------
 
+const core::PreparedModel* InferenceSession::ready_staging_locked(
+    const ModelState& model) const {
+  if (model.staging == nullptr ||
+      model.staging->done.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+    return nullptr;
+  }
+  return &model.staging->staged;
+}
+
 const core::ReplaySchedule* InferenceSession::live_schedule_locked(
     const ModelState& model) const {
   if (model.prepared.replay != nullptr) return model.prepared.replay.get();
-  if (model.staging != nullptr &&
-      model.staging->done.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready &&
-      model.staging->staged.replay != nullptr) {
-    // Staged but not yet adopted: the latch's schedule is the live one.
-    return model.staging->staged.replay.get();
-  }
-  return nullptr;
+  // Staged but not yet adopted: the latch's schedule is the live one.
+  const core::PreparedModel* staged = ready_staging_locked(model);
+  return staged != nullptr ? staged->replay.get() : nullptr;
+}
+
+const core::PlatformEnvelopes* InferenceSession::live_envelopes_locked(
+    const ModelState& model) const {
+  if (model.prepared.has_tail()) return &model.prepared.envelopes();
+  const core::PreparedModel* staged = ready_staging_locked(model);
+  return staged != nullptr && staged->has_tail() ? &staged->envelopes()
+                                                 : nullptr;
 }
 
 std::uint64_t InferenceSession::model_resident_bytes_locked(
     const ModelState& model) const {
-  const core::ReplaySchedule* schedule = live_schedule_locked(model);
-  if (schedule == nullptr) return 0;
-  return schedule->schedule_bytes() + schedule->resident_arena_bytes();
+  const core::PlatformEnvelopes* envelopes = live_envelopes_locked(model);
+  std::uint64_t bytes = envelopes != nullptr ? envelopes->bytes() : 0;
+  if (const core::ReplaySchedule* schedule = live_schedule_locked(model)) {
+    bytes += schedule->schedule_bytes() + schedule->resident_arena_bytes();
+  }
+  return bytes;
 }
 
 void InferenceSession::note_use_locked(ModelState& model,
@@ -775,8 +791,9 @@ void InferenceSession::evict_schedule_locked(ModelState& model) {
   if (model.prepared.replay == nullptr) return;
   model.replay_base += model.prepared.replay->replay_count();
   model.prepared.replay.reset();
-  // The next use re-stages transparently: one re-trace (config file and
-  // program are reused — the CSB stream matches), then back to replaying.
+  // The next use re-stages transparently: one re-trace that rebuilds the
+  // schedule, then back to replaying. The kept trace core supplies the
+  // config file, program and SoC envelopes (the CSB stream matches).
   model.tail_done = false;
   ++counters_.evictions;
   for (auto& [key, variant] : variants_) {
@@ -784,6 +801,20 @@ void InferenceSession::evict_schedule_locked(ModelState& model) {
     if (variant.staged) ++variant.evictions;
     variant.staged = false;
   }
+}
+
+void InferenceSession::quarantine_locked(ModelState& model) {
+  // Counted when it drops something: tasks failing on an already
+  // quarantined core find nothing left to drop.
+  if (model.prepared.replay != nullptr || model.prepared.has_tail() ||
+      model.staging != nullptr) {
+    ++robust_.quarantines;
+  }
+  evict_schedule_locked(model);
+  model.prepared.tail.reset();
+  model.tail_done = false;
+  model.staging.reset();
+  refresh_variants_staged_locked(model);
 }
 
 void InferenceSession::enforce_budget_locked(ModelState* just_used) {
@@ -911,6 +942,7 @@ StageCounters InferenceSession::counters() const {
   snapshot.staging_peak =
       counters_.staging_peak.load(std::memory_order_relaxed);
   snapshot.evictions = counters_.evictions.load(std::memory_order_relaxed);
+  snapshot.envelopes = envelopes_recorded_->load(std::memory_order_relaxed);
 
   MutexLock lock(submit_mutex_);
   for (const auto& [name, state] : models_) {
@@ -1013,8 +1045,7 @@ StatusOr<ExecutionResult> InferenceSession::run_resolved(
       // Detected corruption on the synchronous path: quarantine the shared
       // schedule so the next use restages from the immutable artifacts.
       ++robust_.data_loss;
-      if (model.prepared.replay != nullptr) ++robust_.quarantines;
-      evict_schedule_locked(model);
+      quarantine_locked(model);
     }
     refresh_variants_staged_locked(model);
     enforce_budget_locked(&model);
@@ -1043,8 +1074,7 @@ Status InferenceSession::probe_golden(const std::string& backend) {
     if (model.prepared.replay != nullptr &&
         !model.prepared.replay->ops_intact()) {
       ++robust_.data_loss;
-      ++robust_.quarantines;
-      evict_schedule_locked(model);
+      quarantine_locked(model);
       quarantined = true;
     }
   }
@@ -1057,8 +1087,7 @@ Status InferenceSession::probe_golden(const std::string& backend) {
     model.golden_output = result->output;  // the first probe freezes golden
   } else if (model.golden_output != result->output) {
     ++robust_.data_loss;
-    if (model.prepared.replay != nullptr) ++robust_.quarantines;
-    evict_schedule_locked(model);
+    quarantine_locked(model);
     return Status(StatusCode::kDataLoss,
                   "golden-image probe mismatch: replay schedule quarantined "
                   "for restage on next use");
@@ -1262,8 +1291,7 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
       // from the immutable artifacts rather than reuse the snapshot.
       ++robust_.data_loss;
       MutexLock lock(submit_mutex_);
-      if (model.prepared.replay != nullptr) ++robust_.quarantines;
-      evict_schedule_locked(model);
+      quarantine_locked(model);
       ready = false;
     }
     if (!is_transient(code) || attempt >= max_attempts || expired()) {

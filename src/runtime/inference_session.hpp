@@ -30,7 +30,8 @@
 //
 // Memory model: the staged artifacts live in three immutable shared cores
 // (core::FrontendArtifacts for weights/calibration/loadable,
-// core::TraceArtifacts for trace/config file/program,
+// core::TraceArtifacts for trace/config file/program and the SoC
+// envelopes recorded from that program,
 // core::ReplaySchedule for the functional replay) behind shared_ptr<const>.
 // Copying a PreparedModel — what every parallel worker does — bumps
 // refcounts and copies the input-sized vectors only; the multi-MB
@@ -39,11 +40,13 @@
 // Byte-budgeted residency: a long-lived server would otherwise hold every
 // model's replay schedule and per-worker arenas forever.
 // set_replay_budget_bytes() bounds the total (schedule bytes + resident
-// arena bytes across models); when a use pushes the total over budget,
-// least-recently-used models shed their arenas first (pure cache: cheap to
-// drop, rebuilt by the next replay), then their schedules (re-staged
-// transparently — one re-trace — on next use), and as a last resort the
-// hot model sheds its own idle arenas. Eviction is best-effort bounded:
+// arena bytes + recorded SoC envelope bytes across models); when a use
+// pushes the total over budget, least-recently-used models shed their
+// arenas first (pure cache: cheap to drop, rebuilt by the next replay),
+// then their schedules (re-staged transparently — one re-trace — on next
+// use; the input-independent SoC envelopes stay, so the restage never
+// re-runs the cycle-accurate SoC), and as a last resort the hot model
+// sheds its own idle arenas. Eviction is best-effort bounded:
 // snapshots held by in-flight tasks keep dropped cores alive until those
 // tasks drain.
 //
@@ -157,6 +160,11 @@ struct StageCounters {
   /// Replay schedules dropped by the byte-budget eviction policy (each
   /// re-stages transparently — one re-trace — on its model's next use).
   std::uint32_t evictions = 0;
+  /// `?mode=replay` SoC envelopes recorded: one full cycle-accurate SoC
+  /// run each, counted where the record is first computed. A budget
+  /// eviction keeps a model's envelopes, so its restage adds none; a
+  /// quarantine drops them, so the next replay records again.
+  std::uint32_t envelopes = 0;
 };
 
 /// Knobs for run_batch_parallel().
@@ -199,7 +207,8 @@ struct RetryPolicy {
 /// Snapshot semantics like StageCounters; see robustness().
 struct RobustnessCounters {
   std::uint64_t retries = 0;      ///< re-attempts after transient failures
-  std::uint64_t quarantines = 0;  ///< schedules dropped after corruption
+  std::uint64_t quarantines = 0;  ///< schedules + trace cores dropped
+                                  ///< after corruption
   std::uint64_t restages = 0;     ///< inline re-stagings after quarantine
   std::uint64_t deadline_exceeded = 0;  ///< requests expired at a boundary
   std::uint64_t data_loss = 0;          ///< corruption detections observed
@@ -221,8 +230,8 @@ struct VariantStats {
   std::uint64_t requests = 0;   ///< run()/submit() calls routed here
   std::uint64_t stagings = 0;   ///< completed prepare_async stage() hooks
   std::uint64_t evictions = 0;  ///< budget evictions that unstaged this
-  /// Schedule + resident arena bytes of the variant's model (shared across
-  /// its variants; the eviction policy's accounting input).
+  /// Schedule + resident arena + envelope bytes of the variant's model
+  /// (shared across its variants; the eviction policy's accounting input).
   std::uint64_t resident_bytes = 0;
 };
 
@@ -412,17 +421,19 @@ class InferenceSession {
 
   // --- replay-residency byte budget ---------------------------------------
   /// Bound the bytes replay residency may hold across all models:
-  /// schedule bytes + resident arena bytes, summed. 0 (the default) means
-  /// unlimited. Enforcement is LRU and runs on use (submit/resolve paths)
-  /// and when the budget is (re)set: cold models drop arenas first, then
-  /// whole schedules — which re-stage transparently (one re-trace) on
-  /// their next use — and the hot model sheds idle arenas last. The bound
+  /// schedule bytes + resident arena bytes + recorded envelope bytes,
+  /// summed. 0 (the default) means unlimited. Enforcement is LRU and runs
+  /// on use (submit/resolve paths) and when the budget is (re)set: cold
+  /// models drop arenas first, then whole schedules — which re-stage
+  /// transparently (one re-trace, no cycle-accurate SoC run) on their next
+  /// use — and the hot model sheds idle arenas last. The bound
   /// is best-effort: snapshots held by in-flight tasks keep dropped cores
   /// alive until those tasks finish. Thread-safe.
   void set_replay_budget_bytes(std::uint64_t budget_bytes);
   std::uint64_t replay_budget_bytes() const;
-  /// Current replay residency (schedule + arena bytes across all models,
-  /// ready-but-unadopted staging latches included). Thread-safe.
+  /// Current replay residency (schedule + arena + envelope bytes across
+  /// all models, ready-but-unadopted staging latches included; an evicted
+  /// model still holds its envelopes). Thread-safe.
   std::uint64_t replay_resident_bytes() const;
 
   /// The default input: a synthetic image from config.input_seed (also the
@@ -557,9 +568,10 @@ class InferenceSession {
   /// schedule's ops checksum, then run the model's default input and
   /// compare bit-exactly against the variant's frozen golden output (the
   /// first probe freezes it). Either canary failing quarantines the
-  /// model's schedule — the next use restages from the immutable
-  /// artifacts — and reports kDataLoss. Servers call this periodically;
-  /// it executes one inference synchronously. Thread-safe.
+  /// model's schedule and trace core — the next use restages from the
+  /// immutable frontend and records its SoC envelopes afresh — and reports
+  /// kDataLoss. Servers call this periodically; it executes one inference
+  /// synchronously. Thread-safe.
   Status probe_golden(const std::string& backend);
 
  private:
@@ -728,15 +740,28 @@ class InferenceSession {
   /// prepare_async()'s body after spec resolution.
   StagingHandle prepare_async_resolved(const ResolvedSpec& spec,
                                        std::span<const float> image);
+  /// The staged model of `model`'s latch once it has finished (a failed
+  /// latch's holds no cores); null while staging runs or without a latch.
+  const core::PreparedModel* ready_staging_locked(const ModelState& model)
+      const REQUIRES(submit_mutex_);
   /// The model's live schedule: adopted, or sitting in a ready latch.
   const core::ReplaySchedule* live_schedule_locked(const ModelState& model)
       const REQUIRES(submit_mutex_);
-  /// Schedule + arena bytes for one model (0 without a live schedule).
+  /// The model's live envelope set: the adopted trace core's — kept across
+  /// a budget eviction — or a ready latch's. Null before the first trace
+  /// and after a quarantine.
+  const core::PlatformEnvelopes* live_envelopes_locked(
+      const ModelState& model) const REQUIRES(submit_mutex_);
+  /// Schedule + arena bytes for one model (0 without a live schedule), plus
+  /// its recorded envelopes, which stay resident while the schedule is
+  /// evicted.
   std::uint64_t model_resident_bytes_locked(const ModelState& model) const
       REQUIRES(submit_mutex_);
   /// LRU byte-budget enforcement (see set_replay_budget_bytes).
   /// `just_used` (nullable) is the model driving the current use and is
-  /// evicted last (arenas only, never its schedule).
+  /// evicted last (arenas only, never its schedule). Envelope bytes count
+  /// but are never evicted here: each pass is bounded, so a total that only
+  /// envelopes keep over budget ends the walk over budget.
   void enforce_budget_locked(ModelState* just_used) REQUIRES(submit_mutex_);
   /// Shared control block between the session and the replay-engine
   /// check-in hooks it installs. Hooks capture the shared_ptr, never the
@@ -764,9 +789,19 @@ class InferenceSession {
   /// its arena check-in, so a run's own arena growth is reclaimed at
   /// arena return, not on the next submit.
   void on_replay_checkin(ModelState& model) EXCLUDES(submit_mutex_);
-  /// Drop `model`'s replay schedule (folding its replay tally), force a
-  /// re-trace on next use, and mark its staged variants evicted.
+  /// Budget eviction: drop `model`'s replay schedule — and with it the
+  /// arenas and packed weights — (folding its replay tally), force a
+  /// re-trace on next use, and mark its staged variants evicted. The trace
+  /// core stays: the restage reuses its config file and program and finds
+  /// the SoC envelopes measured from that program already recorded.
   void evict_schedule_locked(ModelState& model) REQUIRES(submit_mutex_);
+  /// Quarantine after detected corruption: evict the schedule and also
+  /// drop the trace core with its envelopes, so nothing measured from the
+  /// suspect state is served again; the next use restages from the
+  /// frontend. A staging still in flight started from the dropped core and
+  /// would carry its envelopes back, so it is detached, never adopted
+  /// (tasks already queued behind it still get its result).
+  void quarantine_locked(ModelState& model) REQUIRES(submit_mutex_);
   /// Staging-concurrency accounting: bump in-flight (and the peak
   /// high-water mark) when a staging pipeline task is issued...
   void note_staging_issued();
@@ -812,6 +847,11 @@ class InferenceSession {
 
   const BackendRegistry* registry_;
   mutable AtomicStageCounters counters_;
+  /// StageCounters::envelopes, bumped by the envelope sets the session's
+  /// trace cores own — shared, since a set may outlive the session inside
+  /// a caller-held snapshot.
+  const std::shared_ptr<std::atomic<std::uint32_t>> envelopes_recorded_ =
+      std::make_shared<std::atomic<std::uint32_t>>(0);
   mutable AtomicRobustnessCounters robust_;
 
   /// Guards the submit/staging fast-path state (per-model latches, pool

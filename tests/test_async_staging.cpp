@@ -219,8 +219,8 @@ TEST(PrepareAsync, StagesArtifactsAndReplayEnvelope) {
     // The `?mode=replay` platform envelope was recorded by the staging
     // hook, not left for the first pooled batch to stall on — one record
     // per platform.
-    const auto& schedule = session.prepare(images[0]).replay_schedule();
-    EXPECT_EQ(schedule.platform_record_count(), ++records) << base;
+    const auto& envelopes = session.prepare(images[0]).envelopes();
+    EXPECT_EQ(envelopes.platform_record_count(), ++records) << base;
 
     // Serving through the staged session matches the platform's own
     // cycle-accurate run bit for bit.
@@ -246,7 +246,7 @@ TEST(PrepareAsync, StagesArtifactsAndReplayEnvelope) {
     // Re-staging an already-staged variant is an idempotent no-op.
     auto again = session.prepare_async(spec);
     EXPECT_TRUE(again.wait().is_ok()) << base;
-    EXPECT_EQ(schedule.platform_record_count(), records) << base;
+    EXPECT_EQ(envelopes.platform_record_count(), records) << base;
     EXPECT_EQ(session.counters().async_stagings, 1u) << base;
   }
 }

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -93,6 +94,35 @@ class SleepyBackend final : public runtime::ExecutionBackend {
     result.backend = "sleepy";
     result.output = prepared.input;
     return result;
+  }
+};
+
+/// The replay-mode standalone SoC with an armable one-shot kDataLoss: a
+/// deterministic stand-in for a corruption detection on the serving path.
+class DataLossOnceBackend final : public runtime::ExecutionBackend {
+ public:
+  std::string_view name() const override { return "soc_dataloss"; }
+  std::string_view description() const override {
+    return "soc replay; an armed run reports kDataLoss instead";
+  }
+  StatusOr<runtime::ExecutionResult> run(
+      const core::PreparedModel& prepared,
+      const runtime::RunOptions& options) const override {
+    if (armed.exchange(false)) {
+      return Status(StatusCode::kDataLoss, "injected corruption detection");
+    }
+    return soc().run(prepared, options);
+  }
+  void stage(const core::PreparedModel& prepared,
+             const runtime::RunOptions& options) const override {
+    soc().stage(prepared, options);
+  }
+
+  mutable std::atomic<bool> armed{false};
+
+ private:
+  static const runtime::ExecutionBackend& soc() {
+    return **runtime::BackendRegistry::global().find("soc");
   }
 };
 
@@ -295,6 +325,90 @@ TEST(Canary, ChecksumDetectsSilentOpCorruptionAndRestagesBitExact) {
   EXPECT_EQ(restaged->output, clean->output);
   // ...and a fresh probe passes again against the frozen golden output.
   EXPECT_TRUE(session.probe_golden("vp").is_ok());
+}
+
+TEST(Canary, QuarantinesDropTheSocEnvelopeAndRestageRecordsItAgain) {
+  const auto image = synthetic_image(9550);
+  InferenceSession session(models::lenet5());
+  const auto clean = session.run("soc", image);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  ASSERT_TRUE(session.probe_golden("soc").is_ok());  // freezes the golden
+  EXPECT_EQ(session.counters().envelopes, 1u);
+
+  // Checksum canary: the probe quarantines, restages inside its own run,
+  // and records the envelope afresh instead of reusing the dropped one.
+  {
+    const core::ReplaySchedule& schedule =
+        session.prepared().replay_schedule();
+    auto& ops = const_cast<core::ReplaySchedule&>(schedule).ops;
+    ASSERT_FALSE(ops.empty());
+    reinterpret_cast<std::uint8_t*>(ops.data())[0] ^= 0x01;
+  }
+  const Status checksum = session.probe_golden("soc");
+  EXPECT_EQ(checksum.code(), StatusCode::kDataLoss);
+  EXPECT_NE(checksum.to_string().find("checksum"), std::string::npos);
+  EXPECT_EQ(session.counters().envelopes, 2u);
+
+  // Golden canary: corrupt a conv op's packed weights, which the ops
+  // checksum does not cover, so only the probe's output comparison sees it.
+  {
+    const core::ReplaySchedule& schedule =
+        session.prepared().replay_schedule();
+    const auto conv = std::find_if(
+        schedule.ops.begin(), schedule.ops.end(),
+        [](const nvdla::ReplayOp& op) { return op.packed_weights != nullptr; });
+    ASSERT_NE(conv, schedule.ops.end());
+    auto& pack = const_cast<nvdla::PackedConvWeights&>(*conv->packed_weights);
+    for (auto& weight : pack.krsc) weight = static_cast<std::int8_t>(~weight);
+    EXPECT_TRUE(schedule.ops_intact());
+  }
+  const Status golden = session.probe_golden("soc");
+  EXPECT_EQ(golden.code(), StatusCode::kDataLoss);
+  EXPECT_NE(golden.to_string().find("golden"), std::string::npos);
+  EXPECT_GE(session.robustness().quarantines, 2u);
+
+  // This quarantine landed after the probe's run: the next request
+  // restages, records the envelope again, and answers bit-exactly.
+  const auto restaged = session.run("soc", image);
+  ASSERT_TRUE(restaged.is_ok()) << restaged.status().to_string();
+  EXPECT_EQ(restaged->output, clean->output);
+  EXPECT_EQ(restaged->cycles, clean->cycles);
+  EXPECT_EQ(session.counters().envelopes, 3u);
+  EXPECT_TRUE(session.probe_golden("soc").is_ok());
+}
+
+TEST(Canary, QuarantineDuringInFlightStagingIsNotAdoptedBack) {
+  auto owned = std::make_unique<DataLossOnceBackend>();
+  DataLossOnceBackend& backend = *owned;
+  runtime::BackendRegistry registry;
+  ASSERT_TRUE(registry.add(std::move(owned)).is_ok());
+  const auto image = synthetic_image(9560);
+  InferenceSession session(models::lenet5(), {}, &registry);
+  const auto clean = session.run("soc_dataloss", image);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  EXPECT_EQ(session.counters().envelopes, 1u);
+
+  // Drop the schedule but keep the trace core and its envelope, as a
+  // budget eviction does: the next submit stages from that core, so its
+  // staging latch carries the envelope.
+  session.set_replay_enabled(false);
+  session.set_replay_enabled(true);
+
+  // The task queued behind the latch detects corruption before anything
+  // adopts the latch: the quarantine lands with the staging in flight.
+  backend.armed = true;
+  const auto failed = session.submit("soc_dataloss", image).get();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+  EXPECT_GE(session.robustness().quarantines, 1u);
+
+  // The next request must not adopt that latch and serve the dropped
+  // envelope: it restages and records the envelope again.
+  const auto restaged = session.run("soc_dataloss", image);
+  ASSERT_TRUE(restaged.is_ok()) << restaged.status().to_string();
+  EXPECT_EQ(restaged->output, clean->output);
+  EXPECT_EQ(restaged->cycles, clean->cycles);
+  EXPECT_EQ(session.counters().envelopes, 2u);
 }
 
 TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {

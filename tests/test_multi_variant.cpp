@@ -5,10 +5,13 @@
 // ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "core/bare_metal_flow.hpp"
 #include "models/models.hpp"
 #include "runtime/inference_session.hpp"
 #include "server/client.hpp"
@@ -28,6 +31,14 @@ const VariantStats* find_variant(const std::vector<VariantStats>& stats,
     if (v.model == model && v.backend == backend) return &v;
   }
   return nullptr;
+}
+
+/// Field-for-field equality of a padding-free counter struct (the bus
+/// census, the engine stats).
+template <class Stats>
+bool same_stats(const Stats& a, const Stats& b) {
+  static_assert(std::has_unique_object_representations_v<Stats>);
+  return std::memcmp(&a, &b, sizeof(Stats)) == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -173,6 +184,87 @@ TEST(MultiVariant, BudgetEvictsColdModelAndRestagesBitExactly) {
   EXPECT_EQ(settled->cycles, first->cycles);
   EXPECT_LE(session.replay_resident_bytes(), budget);
   EXPECT_GE(session.counters().evictions, 2u);
+}
+
+TEST(MultiVariant, BudgetEvictionKeepsTheSocEnvelopeAcrossRestage) {
+  // The SoC envelope is a function of the bare-metal program, not of the
+  // schedule: a budget eviction drops the schedule, and the restage
+  // re-traces the VP and rebuilds the schedule but runs no cycle-accurate
+  // SoC.
+  InferenceSession session(models::lenet5());
+  ASSERT_TRUE(session.register_model("twin", models::lenet5()).is_ok());
+  const auto image =
+      compiler::synthetic_input(models::lenet5().input_shape(), 8500);
+
+  const auto first = session.submit("soc", image).get();
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(session.counters().envelopes, 1u);
+  const auto recorded = session.prepare(image).tail->envelopes;
+
+  // A one-byte budget evicts every cold schedule at each enforcement point:
+  // the first model now, the twin once the first model is hot again.
+  session.set_replay_budget_bytes(1);
+  EXPECT_EQ(session.counters().evictions, 1u);
+  const auto twin = session.submit("soc?model=twin", image).get();
+  ASSERT_TRUE(twin.is_ok()) << twin.status().to_string();
+  EXPECT_EQ(session.counters().envelopes, 2u);
+  const auto stats = session.variant_stats();
+  const auto* evicted = find_variant(stats, "lenet5", "soc");
+  ASSERT_NE(evicted, nullptr);
+  EXPECT_FALSE(evicted->staged);
+
+  const std::uint32_t traces = session.counters().trace;
+  const auto restaged = session.submit("soc", image).get();
+  ASSERT_TRUE(restaged.is_ok()) << restaged.status().to_string();
+  EXPECT_EQ(session.counters().trace, traces + 1) << "restage re-traced";
+  EXPECT_EQ(session.counters().envelopes, 2u) << "envelope kept, not rerun";
+  EXPECT_EQ(session.prepare(image).tail->envelopes, recorded);
+  EXPECT_GE(session.counters().evictions, 2u);
+
+  // The kept envelope is the one recorded before the eviction, and the
+  // per-instruction oracle's.
+  InferenceSession oracle(models::lenet5());
+  const auto simulated =
+      oracle.run("soc?mode=cycle_accurate&decode_cache=off", image);
+  ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
+  for (const auto* want : {&*first, &*simulated}) {
+    EXPECT_EQ(restaged->output, want->output);
+    EXPECT_EQ(restaged->cycles, want->cycles);
+    ASSERT_TRUE(restaged->soc.has_value() && want->soc.has_value());
+    EXPECT_TRUE(same_stats(restaged->soc->census, want->soc->census));
+    EXPECT_TRUE(
+        same_stats(restaged->soc->engine_stats, want->soc->engine_stats));
+  }
+}
+
+TEST(MultiVariant, EvictedModelKeepsItsEnvelopeBytesResident) {
+  InferenceSession session(models::lenet5());
+  ASSERT_TRUE(session.register_model("twin", models::lenet5()).is_ok());
+  const auto image =
+      compiler::synthetic_input(models::lenet5().input_shape(), 8600);
+  ASSERT_TRUE(session.run("soc", image).is_ok());
+  ASSERT_TRUE(session.run("soc?model=twin", image).is_ok());
+  const std::uint64_t envelope_bytes =
+      session.prepare(image).envelopes().bytes();
+  ASSERT_GT(envelope_bytes, 0u);
+
+  // Both schedules go; the envelopes stay resident and still count. No
+  // pass can evict them, so the walk ends over budget instead of looping.
+  session.set_replay_budget_bytes(1);
+  EXPECT_EQ(session.counters().evictions, 2u);
+  const auto stats = session.variant_stats();
+  for (const std::string model : {"lenet5", "twin"}) {
+    const auto* row = find_variant(stats, model, "soc");
+    ASSERT_NE(row, nullptr) << model;
+    EXPECT_FALSE(row->staged) << model;
+    EXPECT_EQ(row->resident_bytes, envelope_bytes) << model;
+  }
+  EXPECT_EQ(session.replay_resident_bytes(), 2 * envelope_bytes);
+
+  // Enforcing again over the same envelope-only total changes nothing.
+  session.set_replay_budget_bytes(1);
+  EXPECT_EQ(session.counters().evictions, 2u);
+  EXPECT_EQ(session.replay_resident_bytes(), 2 * envelope_bytes);
 }
 
 TEST(MultiVariant, CheckinHookReclaimsOwnArenaGrowthAtReturn) {
