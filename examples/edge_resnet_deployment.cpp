@@ -10,7 +10,7 @@
 //     ("linux_baseline") as the bare-metal board ("system_top"),
 //   * energy-proxy numbers (cycle counts per inference),
 //   * multi-camera batch serving through run_batch_parallel: one staged
-//     flow (single VP replay), every frame repacked onto pooled workers.
+//     flow (a single VP trace), every frame replayed on pooled workers.
 //
 // Build & run:  ./build/examples/edge_resnet_deployment
 #include <chrono>
@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
               batch_wall_ms, kCameras / (batch_wall_ms / 1e3));
   std::printf("  board latency  : %.2f ms per frame (unchanged — same SoC)\n",
               (*batch)[0].ms);
-  std::printf("  VP replays     : %u for the whole session (repacked "
-              "inputs, %u repacks)\n",
-              session.counters().trace, session.counters().repack);
+  std::printf("  VP traces      : %u for the whole session (frames replay "
+              "the recorded schedule: %u replays)\n",
+              session.counters().trace, session.counters().replay);
 
   // --- streaming serving (async staging) ---------------------------------
   // A camera feed does not arrive as a batch. A cold streaming session

@@ -298,9 +298,8 @@ void InferenceSession::set_pool_idle_timeout(std::chrono::milliseconds timeout) 
   if (pool_ != nullptr) pool_->set_idle_timeout(timeout);
 }
 
-const std::vector<float>& InferenceSession::default_input_for(
+const std::vector<float>& InferenceSession::default_input_locked(
     ModelState& model) {
-  MutexLock lock(submit_mutex_);
   if (model.default_input.empty()) {
     model.default_input = compiler::synthetic_input(
         model.network.input_shape(), model.config.input_seed);
@@ -308,6 +307,12 @@ const std::vector<float>& InferenceSession::default_input_for(
   // The vector is filled once and never reassigned: the reference (and the
   // contents) stay stable after the lock is released.
   return model.default_input;
+}
+
+const std::vector<float>& InferenceSession::default_input_for(
+    ModelState& model) {
+  MutexLock lock(submit_mutex_);
+  return default_input_locked(model);
 }
 
 const std::vector<float>& InferenceSession::default_input() {
@@ -459,21 +464,17 @@ void InferenceSession::set_replay_enabled(bool enabled) {
   MutexLock lock(submit_mutex_);
   if (enabled == replay_enabled_) return;
   replay_enabled_ = enabled;
+  // Re-enabling needs no bookkeeping: a model without a schedule is not
+  // staged, so its next use re-traces to record one (config file and
+  // program are reused when the CSB stream matches, which it always does
+  // for a same-shape image).
+  if (enabled) return;
   for (auto& [name, state] : models_) {
     ModelState& model = *state;
-    if (!enabled) {
-      if (model.prepared.replay != nullptr) {
-        model.replay_base += model.prepared.replay->replay_count();
-        model.prepared.replay.reset();
-      }
-    } else {
-      // Re-enabling: the schedule is recorded by a full trace, so force one
-      // on the next staging call (config file and program are reused when
-      // the CSB stream matches, which it always does for a same-shape
-      // image).
-      model.tail_done = false;
+    if (model.prepared.replay != nullptr) {
+      model.replay_base += model.prepared.replay->replay_count();
+      model.prepared.replay.reset();
     }
-    refresh_variants_staged_locked(model);
   }
 }
 
@@ -492,9 +493,9 @@ void InferenceSession::stage_tail_into(const ModelState& model,
                                        core::PreparedModel& prepared,
                                        std::span<const float> image,
                                        bool record_replay) const {
-  // Hoisted shape check: the full-trace path must reject a wrong-size
-  // *first* image exactly like the repack path does, instead of packing
-  // garbage into Loadable::pack_input / the VP.
+  // The full-trace path must reject a wrong-size image exactly like the
+  // repack path does, instead of packing garbage into
+  // Loadable::pack_input / the VP.
   if (const Status s = check_image_shape(model, image); !s.is_ok()) {
     throw std::runtime_error(std::string(s.message()));
   }
@@ -545,47 +546,6 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   prepared.vp_refresh = std::make_shared<core::PreparedModel::VpRefreshMemo>();
 }
 
-void InferenceSession::ensure_tail(ModelState& model,
-                                   std::span<const float> image) {
-  ensure_frontend(model);  // drains any in-flight async staging first
-  if (model.tail_done && same_image(model.prepared, image)) {
-    return;
-  }
-
-  // Repack fast path: once one image has been traced, the CSB stream —
-  // hence config file and program — is known to be input-independent, so a
-  // same-shape image only needs its input-dependent surfaces refreshed.
-  if (model.tail_done && model.prepared.input.size() == image.size()) {
-    model.tail_done = false;  // invalidate while mutating (repack can throw)
-    repack_into(model, model.prepared, image);
-    ++counters_.repack;
-    model.tail_done = true;
-    return;
-  }
-
-  // Reject a bad shape before invalidating anything: a wrong-size image
-  // must not cost a valid staged tail its memo (and the re-trace that
-  // would follow).
-  if (const Status s = check_image_shape(model, image); !s.is_ok()) {
-    throw std::runtime_error(std::string(s.message()));
-  }
-
-  // Invalidate before mutating: if a stage below throws, the next call must
-  // not memo-hit on artifacts that belong to a different image.
-  model.tail_done = false;
-  auto outgoing_schedule = model.prepared.replay;
-  stage_tail_into(model, model.prepared, image, replay_enabled());
-  // The trace succeeded and replaced the schedule; fold the outgoing
-  // schedule's tally into the counters it vanishes from.
-  if (outgoing_schedule != nullptr) {
-    model.replay_base += outgoing_schedule->replay_count();
-  }
-  model.tail_done = true;
-  if (model.prepared.replay != nullptr) {
-    install_checkin_hook(*model.prepared.replay, model);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Async staging
 // ---------------------------------------------------------------------------
@@ -615,13 +575,7 @@ void InferenceSession::start_staging_locked(ModelState& model,
   // sequences every later read of `staged`.
   core::PreparedModel base = model.prepared;
   std::vector<float> calibration_image;
-  if (!base.has_frontend()) {
-    if (model.default_input.empty()) {
-      model.default_input = compiler::synthetic_input(
-          model.network.input_shape(), model.config.input_seed);
-    }
-    calibration_image = model.default_input;
-  }
+  if (!base.has_frontend()) calibration_image = default_input_locked(model);
   const bool record_replay = replay_enabled_;
   // The staging trace itself always runs fault-free (clean artifacts are
   // what makes injected corruption *detectable*), but the staging task as a
@@ -688,12 +642,10 @@ void InferenceSession::try_adopt_staging_locked(ModelState& model) {
         outgoing_schedule != model.prepared.replay) {
       model.replay_base += outgoing_schedule->replay_count();
     }
-    model.tail_done = true;
   }
-  // A failed staging is simply dropped: the next submit (or session-thread
-  // staging call) retries from the pre-staging state.
+  // A failed staging is simply dropped: the next submit (or prepare())
+  // retries from the pre-staging state.
   model.staging.reset();
-  refresh_variants_staged_locked(model);
   if (const auto* schedule = live_schedule_locked(model)) {
     install_checkin_hook(*schedule, model);
   }
@@ -773,18 +725,12 @@ std::uint64_t InferenceSession::model_resident_bytes_locked(
 void InferenceSession::note_use_locked(ModelState& model,
                                        VariantState* variant) {
   model.last_used = ++use_tick_;
-  if (variant != nullptr) {
-    ++variant->requests;
-    variant->last_used = use_tick_;
-  }
+  if (variant != nullptr) ++variant->requests;
 }
 
-void InferenceSession::refresh_variants_staged_locked(
-    const ModelState& model) {
-  const bool staged = live_schedule_locked(model) != nullptr;
-  for (auto& [key, variant] : variants_) {
-    if (variant.model == model.name) variant.staged = staged;
-  }
+bool InferenceSession::staged_locked(const ModelState& model) const {
+  return model.prepared.has_tail() &&
+         (model.prepared.replay != nullptr || !replay_enabled_);
 }
 
 void InferenceSession::evict_schedule_locked(ModelState& model) {
@@ -794,12 +740,9 @@ void InferenceSession::evict_schedule_locked(ModelState& model) {
   // The next use re-stages transparently: one re-trace that rebuilds the
   // schedule, then back to replaying. The kept trace core supplies the
   // config file, program and SoC envelopes (the CSB stream matches).
-  model.tail_done = false;
   ++counters_.evictions;
   for (auto& [key, variant] : variants_) {
-    if (variant.model != model.name) continue;
-    if (variant.staged) ++variant.evictions;
-    variant.staged = false;
+    if (variant.model == model.name) ++variant.evictions;
   }
 }
 
@@ -812,9 +755,7 @@ void InferenceSession::quarantine_locked(ModelState& model) {
   }
   evict_schedule_locked(model);
   model.prepared.tail.reset();
-  model.tail_done = false;
   model.staging.reset();
-  refresh_variants_staged_locked(model);
 }
 
 void InferenceSession::enforce_budget_locked(ModelState* just_used) {
@@ -934,7 +875,6 @@ StageCounters InferenceSession::counters() const {
   snapshot.trace = counters_.trace.load(std::memory_order_relaxed);
   snapshot.config_file = counters_.config_file.load(std::memory_order_relaxed);
   snapshot.program = counters_.program.load(std::memory_order_relaxed);
-  snapshot.repack = counters_.repack.load(std::memory_order_relaxed);
   snapshot.async_stagings =
       counters_.async_stagings.load(std::memory_order_relaxed);
   snapshot.staging_in_flight =
@@ -963,12 +903,12 @@ std::vector<VariantStats> InferenceSession::variant_stats() const {
     VariantStats row;
     row.backend = variant.backend_spec;
     row.model = variant.model;
-    row.staged = variant.staged;
     row.requests = variant.requests;
     row.stagings = variant.stagings;
     row.evictions = variant.evictions;
     const auto it = models_.find(variant.model);
     if (it != models_.end()) {
+      row.staged = live_schedule_locked(*it->second) != nullptr;
       row.resident_bytes = model_resident_bytes_locked(*it->second);
     }
     stats.push_back(std::move(row));
@@ -1006,9 +946,27 @@ const core::PreparedModel& InferenceSession::prepare(
 
 const core::PreparedModel& InferenceSession::prepare_in(
     ModelState& model, std::span<const float> image) {
-  ensure_tail(model, image);
-  ensure_reference(model);
-  return model.prepared;
+  if (Status s = check_image_shape(model, image); !s.is_ok()) {
+    throw StatusError(std::move(s));
+  }
+  // Stage through the latch submit() uses, so the trace runs on a pool
+  // worker, then adopt it on the next pass. The loop re-checks because a
+  // quarantine may detach the latch before it is adopted.
+  for (;;) {
+    std::shared_future<Status> staging;
+    {
+      MutexLock lock(submit_mutex_);
+      try_adopt_staging_locked(model);
+      if (staged_locked(model)) {
+        repack_into(model, model.prepared, image);
+        ensure_reference(model);
+        return model.prepared;
+      }
+      if (model.staging == nullptr) start_staging_locked(model, image);
+      staging = model.staging->done;
+    }
+    if (const Status& s = staging.get(); !s.is_ok()) throw StatusError(s);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,49 +974,12 @@ const core::PreparedModel& InferenceSession::prepare_in(
 // ---------------------------------------------------------------------------
 
 StatusOr<ExecutionResult> InferenceSession::run(const std::string& backend) {
-  auto resolved = resolve(backend);
-  if (!resolved.is_ok()) return resolved.status();
-  return run_resolved(*resolved, default_input_for(*resolved->state_));
+  return submit(backend).get();
 }
 
 StatusOr<ExecutionResult> InferenceSession::run(const std::string& backend,
                                                 std::span<const float> image) {
-  auto resolved = resolve(backend);
-  if (!resolved.is_ok()) return resolved.status();
-  return run_resolved(*resolved, image);
-}
-
-StatusOr<ExecutionResult> InferenceSession::run_resolved(
-    const ResolvedSpec& spec, std::span<const float> image) {
-  ModelState& model = *spec.state_;
-  {
-    MutexLock lock(submit_mutex_);
-    try_adopt_all_locked();
-    note_use_locked(model, spec.variant_);
-  }
-  try {
-    auto result = spec.backend_->run(prepare_in(model, image),
-                                     run_options(model));
-    MutexLock lock(submit_mutex_);
-    if (!result.is_ok() &&
-        result.status().code() == StatusCode::kDataLoss) {
-      // Detected corruption on the synchronous path: quarantine the shared
-      // schedule so the next use restages from the immutable artifacts.
-      ++robust_.data_loss;
-      quarantine_locked(model);
-    }
-    refresh_variants_staged_locked(model);
-    enforce_budget_locked(&model);
-    return result;
-  } catch (const StatusError& e) {
-    // Typed failures thrown below the backend boundary (injected faults,
-    // watchdog timeouts, corruption detections on the staging path).
-    return e.status();
-  } catch (const std::exception& e) {
-    // Stage failures (bad image shape, compile errors) keep the StatusOr
-    // contract of the run() boundary.
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
+  return submit(backend, image).get();
 }
 
 Status InferenceSession::probe_golden(const std::string& backend) {
@@ -1080,7 +1001,7 @@ Status InferenceSession::probe_golden(const std::string& backend) {
   }
   // Canary 2: golden-output comparison on the default input. A
   // checksum-quarantined schedule restages transparently inside this run.
-  auto result = run_resolved(*resolved, default_input_for(model));
+  auto result = submit(*resolved).get();
   if (!result.is_ok()) return result.status();
   MutexLock lock(submit_mutex_);
   if (model.golden_output.empty()) {
@@ -1140,7 +1061,7 @@ PendingResult InferenceSession::submit(const ResolvedSpec& spec,
 InferenceSession::StagingSource InferenceSession::staging_source_locked(
     ModelState& model, std::span<const float> image) {
   StagingSource source;
-  if (model.tail_done && model.staging == nullptr) {
+  if (staged_locked(model) && model.staging == nullptr) {
     // staged & adopted: two refcounts + input
     source.snapshot = model.prepared;
     return source;
@@ -1268,9 +1189,7 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
         // Deadline gate 2: the staging latch (or an inline rebuild) may
         // have taken arbitrarily long.
         if (expired()) return deadline_error("behind the staging latch");
-        if (!same_image(prepared, image)) {
-          repack_into(model, prepared, image);
-        }
+        repack_into(model, prepared, image);
         return backend.run(prepared, options);
       } catch (const StatusError& e) {
         return e.status();
@@ -1320,11 +1239,7 @@ Status InferenceSession::rebuild_inline(ModelState& model,
           // Reuse the session's immutable frontend core (refcount bump).
           prepared.frontend = model.prepared.frontend;
         } else {
-          if (model.default_input.empty()) {
-            model.default_input = compiler::synthetic_input(
-                model.network.input_shape(), model.config.input_seed);
-          }
-          calibration_image = model.default_input;
+          calibration_image = default_input_locked(model);
         }
       }
       if (!prepared.has_frontend()) {
@@ -1423,7 +1338,6 @@ StagingHandle InferenceSession::prepare_async_resolved(
             MutexLock lock(submit_mutex_);
             try_adopt_staging_locked(*model_state);
             ++variant->stagings;
-            refresh_variants_staged_locked(*model_state);
           }
           note_staging_done();
           return outcome;
@@ -1449,26 +1363,12 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch(
     const std::vector<std::vector<float>>& images) {
   auto resolved = resolve(backend);
   if (!resolved.is_ok()) return resolved.status();
-  ModelState& model = *resolved->state_;
-  {
-    MutexLock lock(submit_mutex_);
-    try_adopt_all_locked();
-    note_use_locked(model, resolved->variant_);
-  }
-  const RunOptions options = run_options(model);
   std::vector<ExecutionResult> results;
   results.reserve(images.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
-    try {
-      auto result =
-          resolved->backend_->run(prepare_in(model, images[i]), options);
-      if (!result.is_ok()) return image_failure(i, result.status());
-      results.push_back(std::move(result).value());
-    } catch (const StatusError& e) {
-      return image_failure(i, e.status());
-    } catch (const std::exception& e) {
-      return image_failure(i, Status(StatusCode::kInvalidArgument, e.what()));
-    }
+    auto result = submit(*resolved, images[i]).get();
+    if (!result.is_ok()) return image_failure(i, result.status());
+    results.push_back(std::move(result).value());
   }
   return results;
 }
@@ -1491,13 +1391,12 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
                             : ThreadPool::recommended_workers(images.size());
   workers = std::min(workers, images.size());
 
-  // Stage the shared artifacts once — as a blocking call, the batch API
-  // keeps synchronous staging (and its clean image-0 error attribution);
-  // the streaming submit() path is the asynchronous one.
-  try {
-    ensure_tail(model, images.front());
-  } catch (const std::exception& e) {
-    return image_failure(0, Status(StatusCode::kInvalidArgument, e.what()));
+  // A wrong-size image at any index fails the batch before anything is
+  // staged or queued; the first submit below then stages behind the latch.
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    if (Status s = check_image_shape(model, images[i]); !s.is_ok()) {
+      return image_failure(i, s);
+    }
   }
 
   // Size (or re-cap) the session pool: the initial spawn uses the batch's

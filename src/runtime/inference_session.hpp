@@ -8,15 +8,21 @@
 //   input-dependent (computed per distinct image):
 //     -> virtual-platform trace -> configuration file -> bare-metal program
 //
-// Every stage is lazy and memoized, so repeated run() calls on the same
-// image recompute nothing, and run_batch() over N images compiles weights,
-// calibration and the loadable exactly once. Because the CSB register
-// stream — hence the configuration file and bare-metal program — is
-// input-independent, images after the first take the *repack-input* fast
-// path: only the input-dependent surfaces (input tensor, FP32 reference)
-// are refreshed on the model's small per-input surface, and the virtual
-// platform is not re-executed. A whole batch therefore pays for exactly
-// one VP replay (assertable via StageCounters::trace/repack).
+// Every stage is lazy and memoized: run_batch() over N images compiles
+// weights, calibration and the loadable exactly once. Because the CSB
+// register stream — hence the configuration file and bare-metal program —
+// is input-independent, a model is traced once: its first image stages one
+// VP trace and a replay schedule, and every later image only swaps the input
+// on a private snapshot of those cores and replays the schedule. A whole
+// batch therefore pays for exactly one VP trace (assertable via
+// StageCounters::trace).
+//
+// One request path: run() is submit().get(), run_batch() a sequential loop
+// over it, and prepare()/prepared() stage through the same per-model staging
+// latch on the session pool. Every VP trace — staging or rebuild — runs on a
+// pool worker, and every request honours the session deadline and retry
+// policy. "Staged" is derived from the cores, never stored: a model is
+// staged while it holds a trace core plus, with replay on, a live schedule.
 //
 // Multi-model, multi-variant: one session serves a *fleet*. The
 // constructor registers its network as the default model; register_model()
@@ -88,14 +94,16 @@
 //     contract: results in image order, all-or-nothing, failures report
 //     the lowest failing image index.
 //
-// Thread-safety: submit(), resolve(), prepare_async(), register_model(),
-// counters(), variant_stats() and the budget accessors may be called
-// concurrently with each other (and with in-flight pooled work). The
-// remaining session methods are single-owner (stage memoization), but any
-// of them may run while pooled tasks are in flight: tasks only touch their
-// own snapshot and the shared immutable cores, and the session adopts the
-// async-staged artifacts before touching its own state. Destroying the
-// session drains in-flight work first: every PendingResult and
+// Thread-safety: run(), run_batch(), run_batch_parallel(), submit(),
+// resolve(), prepare_async(), probe_golden(), register_model(), counters(),
+// variant_stats() and the budget accessors may be called concurrently with
+// each other (and with in-flight pooled work). The blocking calls — run(),
+// run_batch(), run_batch_parallel(), prepare()/prepared() and probe_golden()
+// — wait on pooled work, so they must never be called from a pool worker or
+// an on_ready hook: a saturated pool would deadlock. The stage accessors
+// (weights() ... prepare()) stay single-owner: they return references into
+// the session's own surface, which the next prepare() rewrites. Destroying
+// the session drains in-flight work first: every PendingResult and
 // StagingHandle already handed out still completes.
 //
 // Execution is delegated to a named ExecutionBackend from a
@@ -132,16 +140,11 @@ struct StageCounters {
   std::uint32_t trace = 0;        ///< full VP execution + weight-file capture
   std::uint32_t config_file = 0;
   std::uint32_t program = 0;
-  /// Repack-input fast path: a new image was substituted into the staged
-  /// artifacts without re-executing the virtual platform. Counts the
-  /// session's own per-input surface only; the private snapshots repacked
-  /// inside pooled tasks are not session state and are not counted.
-  std::uint32_t repack = 0;
   /// Functional replays executed against the session's recorded replay
   /// schedules (skipping KMD, trace capture and — on the replay-mode SoC
   /// backends — the µRISC-V ISS), summed across every registered model.
-  /// Unlike `repack`, this counts every consumer of the shared schedules:
-  /// the session's own runs and the pooled snapshot runs alike.
+  /// vp/linux_baseline replay every image but the one their model traced;
+  /// the replay-mode SoC backends replay every image.
   std::uint32_t replay = 0;
   /// Staging tasks handed to the pool by submit()/prepare_async() — bumped
   /// at enqueue time, on the calling thread, so a test can assert the
@@ -226,6 +229,7 @@ struct VariantStats {
   std::string model;    ///< registered model name the variant routes to
   /// The model's replay schedule is currently live (recorded and not
   /// evicted) — requests replay functionally instead of re-tracing.
+  /// Read from the schedule when variant_stats() is called.
   bool staged = false;
   std::uint64_t requests = 0;   ///< run()/submit() calls routed here
   std::uint64_t stagings = 0;   ///< completed prepare_async stage() hooks
@@ -447,9 +451,11 @@ class InferenceSession {
 
   /// All artifacts for the default input.
   const core::PreparedModel& prepared();
-  /// All artifacts for `image`: input-independent stages are reused; the
-  /// input-dependent tail is memoized while the image stays the same. The
-  /// reference is invalidated by the next prepare()/run() call.
+  /// All artifacts for `image`: when the model is not staged yet, it stages
+  /// through the same pooled latch submit() uses (tracing `image`) and waits
+  /// for it; then `image` is swapped onto the session's own surface and its
+  /// FP32 reference computed. Throws StatusError for a wrong-size image or a
+  /// failed staging. The reference is invalidated by the next prepare().
   const core::PreparedModel& prepare(std::span<const float> image);
 
   // --- spec resolution -----------------------------------------------------
@@ -481,7 +487,9 @@ class InferenceSession {
       const std::vector<std::string>& backends);
 
   // --- execution -----------------------------------------------------------
-  /// Run one inference on the named backend with the default input.
+  /// Run one inference on the named backend with the default input:
+  /// submit(backend[, image]).get(), so the session deadline and retry
+  /// policy apply exactly as they do to submit().
   StatusOr<ExecutionResult> run(const std::string& backend);
   StatusOr<ExecutionResult> run(const std::string& backend,
                                 std::span<const float> image);
@@ -498,7 +506,8 @@ class InferenceSession {
   PendingResult submit(const ResolvedSpec& spec);
   PendingResult submit(const ResolvedSpec& spec, std::span<const float> image);
 
-  /// Run every image through the named backend, sequentially. Input-
+  /// Run every image through the named backend, sequentially: one run()
+  /// per image, each waited on before the next is submitted. Input-
   /// independent stages execute at most once for the whole batch.
   ///
   /// The batch is all-or-nothing: on the first failing image the whole
@@ -509,11 +518,11 @@ class InferenceSession {
       const std::string& backend,
       const std::vector<std::vector<float>>& images);
 
-  /// run_batch across the session ThreadPool: a thin wrapper over
-  /// submit-and-collect. The memoized frontend (weights, calibration,
-  /// loadable) and the input-independent tail (trace, config file,
-  /// program) are staged once and shared read-only; each pooled task
-  /// repacks its own PreparedModel snapshot and every backend run builds
+  /// run_batch across the session ThreadPool: every image is shape-checked
+  /// up front (a wrong-size image at any index fails the batch before
+  /// anything is staged), then all are submitted and collected. The first
+  /// submit stages the model behind its latch; each pooled task swaps its
+  /// image onto its own PreparedModel snapshot and every backend run builds
   /// its own SoC/VP instance. Results are in image order and bit-exact
   /// with the sequential path; the same all-or-nothing contract applies,
   /// reporting the lowest failing image index (not whichever task failed
@@ -594,7 +603,6 @@ class InferenceSession {
     std::atomic<std::uint32_t> trace{0};
     std::atomic<std::uint32_t> config_file{0};
     std::atomic<std::uint32_t> program{0};
-    std::atomic<std::uint32_t> repack{0};
     std::atomic<std::uint32_t> async_stagings{0};
     std::atomic<std::uint32_t> staging_in_flight{0};
     std::atomic<std::uint32_t> staging_peak{0};
@@ -626,7 +634,6 @@ class InferenceSession {
     std::string name;  ///< registration key (may differ from network name)
     compiler::Network network;
     core::FlowConfig config;
-    bool tail_done = false;
     std::vector<float> default_input;
     /// Golden-probe reference: the default input's output, frozen by the
     /// first probe_golden() on this model. Guarded by submit_mutex_.
@@ -646,11 +653,9 @@ class InferenceSession {
   struct VariantState {
     std::string backend_spec;  ///< canonical, `?model=` stripped
     std::string model;
-    bool staged = false;
     std::uint64_t requests = 0;
     std::uint64_t stagings = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t last_used = 0;
   };
 
   const BackendRegistry& registry() const;
@@ -730,13 +735,11 @@ class InferenceSession {
   /// Record a use for LRU purposes and collect variant tallies.
   void note_use_locked(ModelState& model, VariantState* variant)
       REQUIRES(submit_mutex_);
-  /// Align every variant of `model` with its live-schedule state (variants
-  /// of one model share its schedule, so they stage and unstage together).
-  void refresh_variants_staged_locked(const ModelState& model)
-      REQUIRES(submit_mutex_);
-  /// run()'s body after spec resolution.
-  StatusOr<ExecutionResult> run_resolved(const ResolvedSpec& spec,
-                                         std::span<const float> image);
+  /// The model's adopted cores can serve a request: a trace core, plus the
+  /// replay schedule unless replay is off. A budget eviction (schedule
+  /// dropped), a quarantine (trace core dropped) or re-enabling replay
+  /// makes the next use restage.
+  bool staged_locked(const ModelState& model) const REQUIRES(submit_mutex_);
   /// prepare_async()'s body after spec resolution.
   StagingHandle prepare_async_resolved(const ResolvedSpec& spec,
                                        std::span<const float> image);
@@ -814,22 +817,24 @@ class InferenceSession {
   std::shared_ptr<const core::FrontendArtifacts> build_frontend(
       const ModelState& model, std::span<const float> calibration_image) const;
   void ensure_frontend(ModelState& model);  ///< weights..loadable
-  void ensure_tail(ModelState& model,
-                   std::span<const float> image);  ///< trace..program
   /// Fill the FP32 golden output for the model's current input if the
   /// serving paths left it empty (it is a validation artifact, computed on
   /// demand by prepare()/prepared(), never on the replay hot path).
-  void ensure_reference(ModelState& model);
-  /// The model's default input, synthesized on first use. Returns a
-  /// reference into the pinned ModelState (never reassigned once filled).
-  const std::vector<float>& default_input_for(ModelState& model);
-  /// The full staging pipeline on an arbitrary prepared model: frontend if
-  /// missing, then input assign + VP trace + (optionally) replay-schedule
-  /// recording + config-file/program reuse-or-regenerate. Shared by the
-  /// session's synchronous ensure_tail (prepared == model.prepared), the
-  /// pooled staging task, and the inline rebuild after a quarantine. Reads
-  /// only the model's immutable identity (network, config); touches no
-  /// session state beyond atomic counters.
+  void ensure_reference(ModelState& model) REQUIRES(submit_mutex_);
+  /// The model's default input, synthesized on first use — the one place
+  /// it is built. Returns a reference into the pinned ModelState (never
+  /// reassigned once filled, so it stays valid after the lock drops).
+  const std::vector<float>& default_input_locked(ModelState& model)
+      REQUIRES(submit_mutex_);
+  /// default_input_locked() for callers that do not hold the lock.
+  const std::vector<float>& default_input_for(ModelState& model)
+      EXCLUDES(submit_mutex_);
+  /// The VP trace on an arbitrary prepared model whose frontend is built:
+  /// input assign + VP trace + (optionally) replay-schedule recording +
+  /// config-file/program reuse-or-regenerate. Called only from pool tasks:
+  /// the staging task and the inline rebuild after a quarantine. Reads only
+  /// the model's immutable identity (network, config); touches no session
+  /// state beyond atomic counters.
   void stage_tail_into(const ModelState& model, core::PreparedModel& prepared,
                        std::span<const float> image, bool record_replay) const;
   /// Substitute `image` into `prepared`'s per-input surface without
@@ -855,8 +860,8 @@ class InferenceSession {
   mutable AtomicRobustnessCounters robust_;
 
   /// Guards the submit/staging fast-path state (per-model latches, pool
-  /// creation, variant/LRU bookkeeping, the tail_done/prepared reads the
-  /// submit paths make) against concurrent submit()/resolve()/
+  /// creation, variant/LRU bookkeeping, the session surface `prepared` the
+  /// submit paths snapshot) against concurrent submit()/resolve()/
   /// prepare_async()/counters() calls. Declared before the state it guards
   /// so the annotations below may name it.
   mutable Mutex submit_mutex_;

@@ -107,6 +107,17 @@ TEST(ShapeCheck, WrongSizeFirstImageRejectedOnBatchPaths) {
   EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(seq.status().message().find("image 0"), std::string::npos);
   EXPECT_EQ(sequential.counters().trace, 0u);
+
+  // A bad image behind good ones is found before image 0 is traced.
+  images = synthetic_batch(models::lenet5(), 3, 6150);
+  images[2] = std::vector<float>(9, 0.0f);
+  InferenceSession late(models::lenet5());
+  const auto bad_last = late.run_batch_parallel("soc", images, options);
+  ASSERT_FALSE(bad_last.is_ok());
+  EXPECT_EQ(bad_last.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_last.status().message().find("image 2"), std::string::npos)
+      << bad_last.status().to_string();
+  EXPECT_EQ(late.counters().trace, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,14 +525,14 @@ TEST(ReplayArenas, RepeatedReplaysReuseOneArenaBitExactly) {
           << "round " << round << " image " << i;
     }
   }
-  // Image 0 of round 1 was the traced image (served from the trace); the
-  // seven other (round, image) pairs each replayed once — all on a single
+  // Image 0 was the traced image: both rounds serve it from the trace. The
+  // six other (round, image) pairs each replayed once — all on a single
   // reused arena, never a rebuilt one.
   const auto& schedule = session.prepare(images[0]).replay_schedule();
   const auto& engine = schedule.engine(session.config().nvdla);
-  EXPECT_EQ(engine.images_replayed(), 7u);
+  EXPECT_EQ(engine.images_replayed(), 6u);
   EXPECT_EQ(engine.arenas_built(), 1u);
-  EXPECT_EQ(session.counters().replay, 7u);
+  EXPECT_EQ(session.counters().replay, 6u);
 }
 
 TEST(ReplayArenas, ConcurrentPooledReplaysCheckOutAtMostOneArenaEach) {

@@ -443,6 +443,16 @@ TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {
   EXPECT_GE(robust.retries, 1u);
   ASSERT_NE(session.fault_injector(), nullptr);
   EXPECT_GE(session.fault_injector()->total_injected(), 1u);
+
+  // run() takes the same path and honours the same policy: restage on
+  // image_a (served from its trace, no replay to corrupt), then the target
+  // image's flipped replay is quarantined and retried once.
+  ASSERT_TRUE(session.run("vp", image_a).is_ok());
+  const std::uint64_t retries = session.robustness().retries;
+  const auto ran = session.run("vp", image);
+  ASSERT_TRUE(ran.is_ok()) << ran.status().to_string();
+  EXPECT_EQ(ran->output, expected->output);
+  EXPECT_EQ(session.robustness().retries, retries + 1);
 }
 
 TEST(Retry, InjectedStagingFailureIsTypedAndRetriesToSuccess) {
@@ -492,6 +502,14 @@ TEST(Deadline, SessionEnforcesDeadlineAtTaskBoundaries) {
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(session.robustness().deadline_exceeded, 1u);
+
+  // run() rides the same task boundaries: a request to a second, still
+  // cold model expires behind its staging latch too.
+  ASSERT_TRUE(session.register_model("cold", models::lenet5()).is_ok());
+  const auto ran = session.run("vp?model=cold", image);
+  ASSERT_FALSE(ran.is_ok());
+  EXPECT_EQ(ran.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(session.robustness().deadline_exceeded, 2u);
 
   // The deadline shed the request, not the session: with the deadline
   // cleared the (now staged) model serves normally.

@@ -248,11 +248,12 @@ TEST(Session, RunBatchCompilesOnceAndTracesPerImage) {
   EXPECT_EQ(counters.weights, 1u);
   EXPECT_EQ(counters.calibration, 1u);
   EXPECT_EQ(counters.loadable, 1u);
-  // The VP traces the first image only; every later image takes the
-  // repack-input fast path (the register stream is input-independent), so
-  // the config file + program are built once and the VP never re-runs.
+  // The VP traces the first image only; every later image swaps its input
+  // (the register stream is input-independent), so the config file +
+  // program are built once and the VP never re-runs. The replay-mode SoC
+  // replays every image, the traced one included.
   EXPECT_EQ(counters.trace, 1u);
-  EXPECT_EQ(counters.repack, 3u);
+  EXPECT_EQ(counters.replay, 4u);
   EXPECT_EQ(counters.config_file, 1u);
   EXPECT_EQ(counters.program, 1u);
 }
