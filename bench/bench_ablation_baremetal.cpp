@@ -97,8 +97,8 @@ int main() {
   // (the default) vs off (the per-instruction oracle). Simulated cycles
   // are bit-identical by contract; the host wall-clock ratio is what the
   // cache buys end to end. The datapath model dominates these runs, so
-  // the ratio is reported ungated — the floored decode_cache_speedup
-  // lives in bench_batch_throughput's ISS microbench.
+  // the ratio is reported ungated — the exact block-count check lives in
+  // bench_batch_throughput's ISS microbench.
   std::printf("\nDecode-cache ablation (cycle-accurate system_top):\n");
   for (auto& point : points) {
     const auto c0 = std::chrono::steady_clock::now();

@@ -20,8 +20,8 @@
 // Protocol (see src/server/frame.hpp): length-prefixed binary frames,
 // request = id + backend spec + image floats, response = id + status +
 // output tensor (or error text), streamed in completion order. The
-// bench_serving_latency load generator and the Client class in
-// src/server/client.hpp speak it.
+// perfbench/ load generator and the Client class in src/server/client.hpp
+// speak it.
 #include <cctype>
 #include <csignal>
 #include <cstdint>

@@ -1358,21 +1358,6 @@ StagingHandle InferenceSession::prepare_async_resolved(
 // Batches
 // ---------------------------------------------------------------------------
 
-StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch(
-    const std::string& backend,
-    const std::vector<std::vector<float>>& images) {
-  auto resolved = resolve(backend);
-  if (!resolved.is_ok()) return resolved.status();
-  std::vector<ExecutionResult> results;
-  results.reserve(images.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto result = submit(*resolved, images[i]).get();
-    if (!result.is_ok()) return image_failure(i, result.status());
-    results.push_back(std::move(result).value());
-  }
-  return results;
-}
-
 StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
     const std::string& backend,
     const std::vector<std::vector<float>>& images,

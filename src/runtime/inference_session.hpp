@@ -8,8 +8,8 @@
 //   input-dependent (computed per distinct image):
 //     -> virtual-platform trace -> configuration file -> bare-metal program
 //
-// Every stage is lazy and memoized: run_batch() over N images compiles
-// weights, calibration and the loadable exactly once. Because the CSB
+// Every stage is lazy and memoized: a batch of N images compiles weights,
+// calibration and the loadable exactly once. Because the CSB
 // register stream — hence the configuration file and bare-metal program —
 // is input-independent, a model is traced once: its first image stages one
 // VP trace and a replay schedule, and every later image only swaps the input
@@ -17,12 +17,13 @@
 // batch therefore pays for exactly one VP trace (assertable via
 // StageCounters::trace).
 //
-// One request path: run() is submit().get(), run_batch() a sequential loop
-// over it, and prepare()/prepared() stage through the same per-model staging
-// latch on the session pool. Every VP trace — staging or rebuild — runs on a
-// pool worker, and every request honours the session deadline and retry
-// policy. "Staged" is derived from the cores, never stored: a model is
-// staged while it holds a trace core plus, with replay on, a live schedule.
+// One request path: run() is submit().get(), run_batch_parallel() submits
+// and collects, and prepare()/prepared() stage through the same per-model
+// staging latch on the session pool. Every VP trace — staging or rebuild —
+// runs on a pool worker, and every request honours the session deadline
+// and retry policy. "Staged" is derived from the cores, never stored: a
+// model is staged while it holds a trace core plus, with replay on, a live
+// schedule.
 //
 // Multi-model, multi-variant: one session serves a *fleet*. The
 // constructor registers its network as the default model; register_model()
@@ -94,12 +95,12 @@
 //     contract: results in image order, all-or-nothing, failures report
 //     the lowest failing image index.
 //
-// Thread-safety: run(), run_batch(), run_batch_parallel(), submit(),
-// resolve(), prepare_async(), probe_golden(), register_model(), counters(),
+// Thread-safety: run(), run_batch_parallel(), submit(), resolve(),
+// prepare_async(), probe_golden(), register_model(), counters(),
 // variant_stats() and the budget accessors may be called concurrently with
 // each other (and with in-flight pooled work). The blocking calls — run(),
-// run_batch(), run_batch_parallel(), prepare()/prepared() and probe_golden()
-// — wait on pooled work, so they must never be called from a pool worker or
+// run_batch_parallel(), prepare()/prepared() and probe_golden() — wait on
+// pooled work, so they must never be called from a pool worker or
 // an on_ready hook: a saturated pool would deadlock. The stage accessors
 // (weights() ... prepare()) stay single-owner: they return references into
 // the session's own surface, which the next prepare() rewrites. Destroying
@@ -506,27 +507,20 @@ class InferenceSession {
   PendingResult submit(const ResolvedSpec& spec);
   PendingResult submit(const ResolvedSpec& spec, std::span<const float> image);
 
-  /// Run every image through the named backend, sequentially: one run()
-  /// per image, each waited on before the next is submitted. Input-
-  /// independent stages execute at most once for the whole batch.
+  /// Run every image through the named backend across the session
+  /// ThreadPool: every image is shape-checked up front (a wrong-size image
+  /// at any index fails the batch before anything is staged), then all are
+  /// submitted and collected. Input-independent stages execute at most
+  /// once for the whole batch: the first submit stages the model behind
+  /// its latch; each pooled task swaps its image onto its own PreparedModel
+  /// snapshot and every backend run builds its own SoC/VP instance.
+  /// Results are in image order and bit-exact with one run() per image.
   ///
-  /// The batch is all-or-nothing: on the first failing image the whole
-  /// call returns that image's Status — annotated with the image index —
-  /// and every completed result is discarded. Callers that need partial
-  /// results should submit images individually via run() or submit().
-  StatusOr<std::vector<ExecutionResult>> run_batch(
-      const std::string& backend,
-      const std::vector<std::vector<float>>& images);
-
-  /// run_batch across the session ThreadPool: every image is shape-checked
-  /// up front (a wrong-size image at any index fails the batch before
-  /// anything is staged), then all are submitted and collected. The first
-  /// submit stages the model behind its latch; each pooled task swaps its
-  /// image onto its own PreparedModel snapshot and every backend run builds
-  /// its own SoC/VP instance. Results are in image order and bit-exact
-  /// with the sequential path; the same all-or-nothing contract applies,
-  /// reporting the lowest failing image index (not whichever task failed
-  /// first on the wall clock).
+  /// The batch is all-or-nothing: a failing image fails the whole call
+  /// with its Status, annotated with the image index, and every completed
+  /// result is discarded. The lowest failing index is reported (not
+  /// whichever task failed first on the wall clock). Callers that need
+  /// partial results submit images individually via run() or submit().
   StatusOr<std::vector<ExecutionResult>> run_batch_parallel(
       const std::string& backend,
       const std::vector<std::vector<float>>& images,

@@ -487,6 +487,58 @@ TEST(Retry, InjectedStagingFailureIsTypedAndRetriesToSuccess) {
   }
 }
 
+/// Graceful degradation, deterministically: a standing replay/flip plan
+/// under bounded retry, served by one pool worker one request at a time,
+/// so every per-kind decision stream is consumed in one fixed order and
+/// the number of requests that end OK is a pinned fact of the plan. A
+/// retry path that stops converging (a faulted request burns one attempt
+/// and fails) lowers that count. Each request carries a fresh image, so
+/// every one but the first (which stages, and is served from its trace)
+/// takes the repack->replay path where the armed faults live.
+TEST(Degraded, StandingFaultPlanConvergesToAPinnedOkCount) {
+  constexpr std::size_t kRequests = 32;
+  // With this seed every faulted request converges within its three
+  // attempts (six faults fire, each costing one retry).
+  constexpr std::size_t kPinnedOk = kRequests;
+  std::vector<std::vector<float>> images;
+  std::vector<std::vector<float>> expected;
+  {
+    InferenceSession oracle(models::lenet5());
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      images.push_back(synthetic_image(9900 + i));
+      auto result = oracle.run("vp", images.back());
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      expected.push_back(std::move(result)->output);
+    }
+  }
+
+  InferenceSession session(models::lenet5());
+  ASSERT_TRUE(session.set_fault_plan("replay:0.15+flip:0.05+seed:77").is_ok());
+  session.set_retry_policy({/*max_attempts=*/3, /*backoff_ms=*/0});
+  runtime::BatchOptions one_worker;
+  one_worker.workers = 1;
+  one_worker.max_workers = 1;
+
+  std::size_t ok = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const auto result =
+        session.run_batch_parallel("vp", {images[i]}, one_worker);
+    if (result.is_ok()) {
+      ++ok;
+      EXPECT_EQ(result->front().output, expected[i]) << "request " << i;
+    } else {
+      EXPECT_TRUE(is_transient(result.status().code()))
+          << "request " << i << ": " << result.status().to_string();
+    }
+  }
+
+  EXPECT_EQ(session.pool_worker_count(), 1u);
+  ASSERT_NE(session.fault_injector(), nullptr);
+  EXPECT_GE(session.fault_injector()->total_injected(), 1u);
+  EXPECT_GE(session.robustness().retries, 1u);
+  EXPECT_EQ(ok, kPinnedOk);
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Runtime API tests: backend registry lookup (incl. unknown-name error),
 // StatusOr error paths (program-memory overflow, loadable/trace mismatch),
 // InferenceSession stage memoization, and bit-exactness of the replayed SoC
-// backends and of run_batch against the parity oracle (every image
+// backends and of run_batch_parallel against the parity oracle (every image
 // simulated in full on the per-instruction ISS).
 #include <gtest/gtest.h>
 
@@ -239,7 +239,7 @@ TEST(Session, RunBatchCompilesOnceAndTracesPerImage) {
   for (std::uint64_t seed = 100; seed < 104; ++seed) {
     images.push_back(compiler::synthetic_input(shape, seed));
   }
-  const auto results = session.run_batch("soc", images);
+  const auto results = session.run_batch_parallel("soc", images);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   ASSERT_EQ(results->size(), images.size());
 
@@ -265,7 +265,7 @@ TEST(Session, RunBatchMatchesCycleAccurateOracle) {
   for (std::uint64_t seed = 200; seed < 203; ++seed) {
     images.push_back(compiler::synthetic_input(shape, seed));
   }
-  const auto results = session.run_batch("soc", images);
+  const auto results = session.run_batch_parallel("soc", images);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
 
   InferenceSession oracle_session(models::lenet5());
@@ -294,18 +294,9 @@ TEST(Session, BadImageShapeReportsStatusAndDoesNotPoisonMemo) {
   // And the session stays usable.
   EXPECT_TRUE(session.run("soc").is_ok());
 
-  const auto batch = session.run_batch("soc", {bad});
+  const auto batch = session.run_batch_parallel("soc", {bad});
   ASSERT_FALSE(batch.is_ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(Session, RunBatchSurfacesUnknownBackend) {
-  InferenceSession session(models::lenet5());
-  const auto results = session.run_batch("warp_drive", {});
-  ASSERT_FALSE(results.is_ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kNotFound);
-  // No stage work happened for a bad backend name.
-  EXPECT_EQ(session.counters().weights, 0u);
 }
 
 TEST(Session, CustomRegistryRestrictsBackendSet) {
