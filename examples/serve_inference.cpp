@@ -194,9 +194,6 @@ int main(int argc, char** argv) {
     session.set_default_deadline_ms(static_cast<std::uint32_t>(deadline_ms));
   }
 
-  // Long-lived server: return burst threads to the host between peaks.
-  session.set_pool_idle_timeout(std::chrono::seconds(5));
-
   // Front-load the whole fleet's staging so no model's first request pays
   // a one-time stall: one vector prepare enqueues every (model, backend)
   // variant's staging concurrently on the session pool.

@@ -234,17 +234,8 @@ void InferenceSession::set_retry_policy(RetryPolicy policy) {
   retry_policy_ = policy;
 }
 
-RetryPolicy InferenceSession::retry_policy() const {
-  MutexLock lock(submit_mutex_);
-  return retry_policy_;
-}
-
 void InferenceSession::set_default_deadline_ms(std::uint32_t deadline_ms) {
   default_deadline_ms_.store(deadline_ms, std::memory_order_relaxed);
-}
-
-std::uint32_t InferenceSession::default_deadline_ms() const {
-  return default_deadline_ms_.load(std::memory_order_relaxed);
 }
 
 Status InferenceSession::set_fault_plan(const std::string& spec) {
@@ -278,24 +269,13 @@ RobustnessCounters InferenceSession::robustness() const {
 }
 
 ThreadPool& InferenceSession::pool_locked(std::size_t worker_hint) {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(worker_hint);
-    if (pool_idle_timeout_.count() > 0) {
-      pool_->set_idle_timeout(pool_idle_timeout_);
-    }
-  }
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(worker_hint);
   return *pool_;
 }
 
 std::size_t InferenceSession::pool_worker_count() const {
   MutexLock lock(submit_mutex_);
   return pool_ != nullptr ? pool_->worker_count() : 0;
-}
-
-void InferenceSession::set_pool_idle_timeout(std::chrono::milliseconds timeout) {
-  MutexLock lock(submit_mutex_);
-  pool_idle_timeout_ = timeout;
-  if (pool_ != nullptr) pool_->set_idle_timeout(timeout);
 }
 
 const std::vector<float>& InferenceSession::default_input_locked(
@@ -1371,10 +1351,11 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
   per_run.validate = options.validate;
   if (options.deadline_ms != 0) per_run.deadline_ms = options.deadline_ms;
 
-  std::size_t workers = options.workers != 0
-                            ? options.workers
-                            : ThreadPool::recommended_workers(images.size());
-  workers = std::min(workers, images.size());
+  // Sizes the session pool if this batch is the first pooled call: an
+  // explicit count is clamped to the batch (a 2-image batch with workers=8
+  // spawns 2 threads, not 8); the default 0 picks hardware threads, so an
+  // early small batch never leaves a long-lived session undersized.
+  const std::size_t workers = std::min(options.workers, images.size());
 
   // A wrong-size image at any index fails the batch before anything is
   // staged or queued; the first submit below then stages behind the latch.
@@ -1382,17 +1363,6 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
     if (Status s = check_image_shape(model, images[i]); !s.is_ok()) {
       return image_failure(i, s);
     }
-  }
-
-  // Size (or re-cap) the session pool: the initial spawn uses the batch's
-  // *clamped* worker count — a 2-image batch with workers=8 spawns 2
-  // threads, not 8 — and elastic growth up to max_workers handles any
-  // later pressure.
-  try {
-    MutexLock lock(submit_mutex_);
-    pool_locked(workers).set_max_workers(options.max_workers);
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInternal, e.what());
   }
 
   std::vector<PendingResult> pending;

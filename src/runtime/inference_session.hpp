@@ -61,9 +61,9 @@
 // lives for the rest of the session — every submit() call and every
 // run_batch_parallel() batch reuses the same workers (exactly one pool is
 // ever constructed per session, assertable via ThreadPool::total_created).
-// The pool is elastic: the first pooled call sizes the initial spawn, and
-// queue pressure grows it up to BatchOptions::max_workers (default:
-// hardware threads).
+// The pool is a fixed-size FIFO queue, sized once by the first pooled call:
+// an explicit BatchOptions::workers (clamped to that batch's size), else
+// one worker per hardware thread.
 //
 //   submit(backend, image) -> PendingResult
 //     streaming arrivals, fully asynchronous: no VP trace ever runs on the
@@ -174,15 +174,10 @@ struct StageCounters {
 /// Knobs for run_batch_parallel().
 struct BatchOptions {
   /// Worker threads; 0 picks one per hardware thread. Every batch runs on
-  /// the session's pool, which is created on first use and reused for the
-  /// session lifetime; the first pooled call's value (clamped to its batch
-  /// size) sizes the initial spawn, and later pressure grows the pool
-  /// elastically up to `max_workers`.
+  /// the session's pool, which is created on first use and reused, at a
+  /// fixed size, for the session lifetime: only the first pooled call's
+  /// value counts, and an explicit value is clamped to that batch's size.
   std::size_t workers = 0;
-  /// Elastic-growth cap for the session pool; 0 picks one per hardware
-  /// thread. Applied to the session pool on every batch call (never
-  /// dropping below the workers already running).
-  std::size_t max_workers = 0;
   /// Forwarded to RunOptions::validate for every image.
   bool validate = true;
   /// Per-request wall-clock deadline forwarded to RunOptions::deadline_ms
@@ -526,24 +521,15 @@ class InferenceSession {
       const std::vector<std::vector<float>>& images,
       const BatchOptions& options = {});
 
-  /// Workers currently spawned in the session pool (0 before the first
-  /// pooled call). The initial spawn is the first pooled call's clamped
-  /// worker count; elastic growth can raise it up to the configured cap.
+  /// Workers in the session pool (0 before the first pooled call); fixed
+  /// by the first pooled call (see BatchOptions::workers).
   std::size_t pool_worker_count() const;
-
-  /// Forwarded to ThreadPool::set_idle_timeout on the session pool (applied
-  /// on creation if the pool does not exist yet): elastic workers idle past
-  /// `timeout` retire back to the pool's initial size. Zero — the default —
-  /// disables reaping. Long-lived servers set this so burst threads return
-  /// to the host between traffic peaks. Thread-safe.
-  void set_pool_idle_timeout(std::chrono::milliseconds timeout);
 
   // --- robustness ----------------------------------------------------------
   /// Bounded automatic retry for pooled submits (see RetryPolicy). The
   /// default policy never retries. Thread-safe; in-flight tasks keep the
   /// policy they were enqueued with.
   void set_retry_policy(RetryPolicy policy);
-  RetryPolicy retry_policy() const;
 
   /// Session-wide default wall-clock deadline per request (0 = none),
   /// applied when the caller's BatchOptions/RunOptions carry no deadline.
@@ -551,7 +537,6 @@ class InferenceSession {
   /// and between retry attempts — an expired request answers
   /// kDeadlineExceeded without running. Thread-safe.
   void set_default_deadline_ms(std::uint32_t deadline_ms);
-  std::uint32_t default_deadline_ms() const;
 
   /// Arm (or clear, with an empty/zero-rate spec) a session-level fault
   /// plan (fault::Plan::parse vocabulary, e.g. "flip:1e-6+seed:7"). The
@@ -654,10 +639,12 @@ class InferenceSession {
 
   const BackendRegistry& registry() const;
   RunOptions run_options(const ModelState& model) const EXCLUDES(submit_mutex_);
-  /// The session-lifetime pool, created on first use (`worker_hint` 0
-  /// picks one worker per hardware thread) and reused by every later
-  /// pooled call regardless of hint; queue pressure grows it elastically
-  /// up to its max_workers cap.
+  /// The session-lifetime pool, created on first use with `worker_hint`
+  /// workers (0 = one per hardware thread) and reused, at that fixed size,
+  /// by every later pooled call regardless of hint. Any size >= 1 is
+  /// deadlock-free: every staging task is enqueued under submit_mutex_
+  /// before any task that waits on its latch, and blocking calls are
+  /// banned on workers, so no task waits on one queued behind it.
   ThreadPool& pool_locked(std::size_t worker_hint) REQUIRES(submit_mutex_);
   /// Shape-check an image against the model's network before any staging
   /// work, so run(), submit() and the batch paths all reject a wrong-size
@@ -873,8 +860,6 @@ class InferenceSession {
   std::shared_ptr<ReplayCheckinState> checkin_state_;
   /// LRU clock.
   std::uint64_t use_tick_ GUARDED_BY(submit_mutex_) = 0;
-  /// 0 = never reap.
-  std::chrono::milliseconds pool_idle_timeout_ GUARDED_BY(submit_mutex_){0};
   /// Registered models, default model included. Node-based + unique_ptr:
   /// ModelState addresses are stable for the session lifetime (atomics
   /// inside make the state non-movable anyway). register_model() inserts

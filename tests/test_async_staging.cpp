@@ -1,22 +1,22 @@
-// The async staging pipeline and elastic pool: submit() never runs a VP
+// The async staging pipeline and session pool: submit() never runs a VP
 // trace on the calling thread (first arrival included — staging is a pool
 // task behind a latch), prepare_async() front-loads staging plus the
-// `?mode=replay` platform-envelope recording, the ThreadPool grows under
-// queue pressure up to its cap, the serving entry paths reject wrong-size
-// images identically, and the per-worker replay arenas serve repeated
-// replays bit-exactly. Runs under the ThreadSanitizer CI job.
+// `?mode=replay` platform-envelope recording, the session pool keeps the
+// size its first pooled call gave it (a one-worker pool still stages and
+// serves in FIFO order), the serving entry paths reject wrong-size images
+// identically, and the per-worker replay arenas serve repeated replays
+// bit-exactly. Runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <future>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "models/models.hpp"
 #include "runtime/backends.hpp"
 #include "runtime/inference_session.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nvsoc {
 namespace {
@@ -25,7 +25,6 @@ using runtime::BatchOptions;
 using runtime::InferenceSession;
 using runtime::PendingResult;
 using runtime::StagingHandle;
-using runtime::ThreadPool;
 
 std::vector<std::vector<float>> synthetic_batch(const compiler::Network& net,
                                                 std::size_t count,
@@ -312,202 +311,97 @@ TEST(PrepareAsync, SubmitsQueueBehindTheStagingLatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Elastic pool
+// Session pool sizing
 // ---------------------------------------------------------------------------
 
-TEST(ElasticPool, GrowsUnderQueuePressureUpToTheCap) {
-  ThreadPool pool(1, 4);
-  EXPECT_EQ(pool.worker_count(), 1u);
-  EXPECT_EQ(pool.max_workers(), 4u);
-  const std::uint64_t pools_before = ThreadPool::total_created();
-
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  std::atomic<int> running{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 12; ++i) {
-    futures.push_back(pool.submit([&running, release] {
-      running.fetch_add(1);
-      release.wait();
-    }));
-  }
-  // Growth happens inside submit(), so the pool reached its final size by
-  // now; all four workers end up blocked inside tasks.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(running.load(), 4);
-  EXPECT_EQ(pool.worker_count(), 4u);  // grew to the cap, not past it
-  gate.set_value();
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(pool.worker_count(), 4u);
-  // Growth spawned workers, not pools.
-  EXPECT_EQ(ThreadPool::total_created(), pools_before);
-}
-
-TEST(ElasticPool, CapEqualToInitialSizeNeverGrows) {
-  ThreadPool pool(2, 2);
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  std::atomic<int> running{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&running, release] {
-      running.fetch_add(1);
-      release.wait();
-    }));
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running.load() < 2 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(running.load(), 2);  // the other six tasks stay queued
-  EXPECT_EQ(pool.worker_count(), 2u);
-  gate.set_value();
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(pool.worker_count(), 2u);
-}
-
-TEST(ElasticPool, RaisingTheCapEnablesFurtherGrowth) {
-  ThreadPool pool(1, 1);
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  std::atomic<int> running{0};
-  std::vector<std::future<void>> futures;
-  auto blocker = [&running, release] {
-    running.fetch_add(1);
-    release.wait();
-  };
-  for (int i = 0; i < 4; ++i) futures.push_back(pool.submit(blocker));
-  EXPECT_EQ(pool.worker_count(), 1u);  // capped
-
-  pool.set_max_workers(3);
-  EXPECT_EQ(pool.max_workers(), 3u);
-  for (int i = 0; i < 4; ++i) futures.push_back(pool.submit(blocker));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running.load() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(running.load(), 3);
-  EXPECT_EQ(pool.worker_count(), 3u);
-  gate.set_value();
-  for (auto& future : futures) future.get();
-}
-
-TEST(ElasticPool, IdleReaperRetiresBurstWorkersToTheFloor) {
-  ThreadPool pool(1, 4);
-  pool.set_idle_timeout(std::chrono::milliseconds(20));
-  EXPECT_EQ(pool.idle_timeout(), std::chrono::milliseconds(20));
-
-  // Burst: grow to the cap with blocked tasks (busy workers are never
-  // reaped, however long the task runs).
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  std::atomic<int> running{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&running, release] {
-      running.fetch_add(1);
-      release.wait();
-    }));
-  }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.worker_count(), 4u);
-  EXPECT_EQ(pool.workers_reaped(), 0u);
-  gate.set_value();
-  for (auto& future : futures) future.get();
-
-  // Quiet period: the three elastic workers retire; the construction-time
-  // floor worker parks indefinitely.
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool.worker_count() > 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.worker_count(), 1u);
-  EXPECT_EQ(pool.workers_reaped(), 3u);
-
-  // The shrunken pool still serves work and regrows for the next burst.
-  std::promise<void> gate2;
-  std::shared_future<void> release2 = gate2.get_future().share();
-  std::atomic<int> running2{0};
-  std::vector<std::future<void>> futures2;
-  for (int i = 0; i < 8; ++i) {
-    futures2.push_back(pool.submit([&running2, release2] {
-      running2.fetch_add(1);
-      release2.wait();
-    }));
-  }
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running2.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.worker_count(), 4u);
-  gate2.set_value();
-  for (auto& future : futures2) future.get();
-}
-
-TEST(ElasticPool, ReaperIsOffByDefaultAndHonoursTheFloor) {
-  ThreadPool pool(2, 4);
-  EXPECT_EQ(pool.idle_timeout(), std::chrono::milliseconds(0));
-
-  // Grow to the cap, then go idle with the reaper disabled: the grown
-  // size sticks (the pre-reaper contract the batch tests rely on).
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  std::atomic<int> running{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&running, release] {
-      running.fetch_add(1);
-      release.wait();
-    }));
-  }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (running.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  gate.set_value();
-  for (auto& future : futures) future.get();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(pool.worker_count(), 4u);
-  EXPECT_EQ(pool.workers_reaped(), 0u);
-
-  // Enabling the reaper mid-life takes effect on the already-parked
-  // workers, and retirement stops exactly at the construction floor.
-  pool.set_idle_timeout(std::chrono::milliseconds(5));
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool.worker_count() > 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.worker_count(), 2u);
-  EXPECT_EQ(pool.workers_reaped(), 2u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(pool.worker_count(), 2u) << "reaper must never cross the floor";
-}
-
-TEST(ElasticPool, BatchHintIsClampedToTheBatchSize) {
+TEST(SessionPool, BatchHintIsClampedToTheBatchSize) {
   InferenceSession session(models::lenet5());
   const auto images = synthetic_batch(session.network(), 2, 6800);
   BatchOptions options;
   options.workers = 8;  // used to spawn 8 threads for a 2-image batch
-  // Pin the growth cap at the batch size: queue pressure may otherwise
-  // legitimately grow the pool past the initial spawn (up to the hardware
-  // thread count) on a loaded host. The cap can never be lowered below
-  // the live worker count, so an unclamped hint still reads 8 here.
-  options.max_workers = 2;
   const auto results = session.run_batch_parallel("vp", images, options);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   EXPECT_EQ(session.pool_worker_count(), 2u)
       << "the pool hint must be the clamped worker count";
+}
+
+TEST(SessionPool, DefaultBatchSpawnsHardwareThreads) {
+  InferenceSession session(models::lenet5());
+  const auto images = synthetic_batch(session.network(), 8, 6850);
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  // The first pooled call is a one-image batch with default options: the
+  // default is not clamped to the batch, so the pool gets every hardware
+  // thread rather than one worker for the session's whole lifetime.
+  ASSERT_TRUE(session.run_batch_parallel("vp", {images[0]}).is_ok());
+  EXPECT_EQ(session.pool_worker_count(), hardware);
+
+  std::vector<PendingResult> burst;
+  for (const auto& image : images) burst.push_back(session.submit("vp", image));
+  for (auto& pending : burst) {
+    const auto result = pending.get();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  }
+  EXPECT_EQ(session.pool_worker_count(), hardware) << "the size is fixed";
+}
+
+TEST(SessionPool, OneWorkerPoolStagesAndServesInFifoOrder) {
+  core::FlowConfig other;
+  other.weight_seed = 4242;  // same architecture, different answers
+  const auto images = synthetic_batch(models::lenet5(), 4, 6870);
+
+  InferenceSession session(models::lenet5());
+  ASSERT_TRUE(
+      session.run_batch_parallel("vp", {images[0]}, {.workers = 1}).is_ok());
+  ASSERT_EQ(session.pool_worker_count(), 1u);
+  ASSERT_TRUE(
+      session.register_model("lenet5_w", models::lenet5(), other).is_ok());
+
+  // Stage both models and queue every request before waiting on anything:
+  // on one worker, a request that ran ahead of the staging task it waits on
+  // would deadlock, so this only completes if the queue is FIFO.
+  const std::vector<std::string> fleet = {"vp", "vp?model=lenet5_w"};
+  auto staging = session.prepare_async(fleet);
+  std::vector<PendingResult> pending;
+  for (const auto& backend : fleet) {
+    for (const auto& image : images) {
+      pending.push_back(session.submit(backend, image));
+    }
+  }
+
+  // A deadlock would hang the session's draining destructor, so a missed
+  // deadline aborts the binary instead of returning from the test.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(300);
+  const auto all_ready = [&] {
+    return std::all_of(staging.begin(), staging.end(),
+                       [](const StagingHandle& h) { return h.ready(); }) &&
+           std::all_of(pending.begin(), pending.end(),
+                       [](const PendingResult& p) { return p.ready(); });
+  };
+  while (!all_ready()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "one-worker session pool deadlocked\n");
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (auto& handle : staging) EXPECT_TRUE(handle.wait().is_ok());
+
+  InferenceSession oracle_default(models::lenet5());
+  InferenceSession oracle_other(models::lenet5(), other);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const auto& image = images[i % images.size()];
+    auto got = pending[i].get();
+    const auto want = i < images.size() ? oracle_default.run("vp", image)
+                                        : oracle_other.run("vp", image);
+    ASSERT_TRUE(got.is_ok()) << "request " << i << ": "
+                             << got.status().to_string();
+    ASSERT_TRUE(want.is_ok()) << want.status().to_string();
+    EXPECT_EQ(got->output, want->output) << "request " << i;
+    EXPECT_EQ(got->cycles, want->cycles) << "request " << i;
+  }
+  EXPECT_EQ(session.pool_worker_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,9 +441,6 @@ TEST(ReplayArenas, ConcurrentPooledReplaysCheckOutAtMostOneArenaEach) {
   InferenceSession session(models::lenet5());
   BatchOptions options;
   options.workers = 2;
-  // Pin the concurrency the bound below is about: queue pressure on a
-  // loaded host may otherwise grow the pool past two workers.
-  options.max_workers = 2;
   const auto parallel = session.run_batch_parallel("vp", images, options);
   ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
 

@@ -517,7 +517,6 @@ TEST(Degraded, StandingFaultPlanConvergesToAPinnedOkCount) {
   session.set_retry_policy({/*max_attempts=*/3, /*backoff_ms=*/0});
   runtime::BatchOptions one_worker;
   one_worker.workers = 1;
-  one_worker.max_workers = 1;
 
   std::size_t ok = 0;
   for (std::size_t i = 0; i < kRequests; ++i) {
@@ -584,8 +583,7 @@ TEST(Deadline, ServerExpiresOverdueRequestsAndStaysUp) {
   std::vector<float> nap(elems, 0.0f);
   nap[0] = 1.0f;
   ASSERT_TRUE(fixture.session()
-                  .run_batch_parallel("sleepy", {nap, nap},
-                                      {.workers = 2, .max_workers = 2})
+                  .run_batch_parallel("sleepy", {nap, nap}, {.workers = 2})
                   .is_ok());
 
   Client client = fixture.connect();

@@ -298,11 +298,10 @@ TEST(Serving, ResponsesStreamInCompletionOrder) {
   ASSERT_TRUE(registry.add(std::make_unique<SleepyBackend>()).is_ok());
   ServerFixture fixture(models::lenet5(), &registry);
   // Two pool workers so the fast request is not queued behind the slow one
-  // (explicit max_workers: the default caps at the host's hardware
-  // threads, which may be 1 on small CI runners).
+  // (explicit: the default is the host's hardware threads, which may be 1
+  // on small CI runners).
   const auto warmed = fixture.session().run_batch_parallel(
-      "sleepy", synthetic_batch(models::lenet5(), 2, 8200),
-      {.workers = 2, .max_workers = 2});
+      "sleepy", synthetic_batch(models::lenet5(), 2, 8200), {.workers = 2});
   ASSERT_TRUE(warmed.is_ok()) << warmed.status().to_string();
 
   Client client = fixture.connect();

@@ -108,22 +108,6 @@ TEST(PoolSubmit, DestructorDrainsQueuedTasks) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(futures[i].get(), i);
 }
 
-TEST(PoolSubmit, CoexistsWithParallelFor) {
-  ThreadPool pool(3);
-  std::atomic<int> from_tasks{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&from_tasks] { from_tasks.fetch_add(1); }));
-  }
-  std::atomic<std::size_t> sum{0};
-  pool.parallel_for(10, [&](std::size_t, std::size_t index) {
-    sum.fetch_add(index);
-  });
-  EXPECT_EQ(sum.load(), 45u);
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(from_tasks.load(), 8);
-}
-
 // ---------------------------------------------------------------------------
 // Shared immutable artifact cores
 // ---------------------------------------------------------------------------
@@ -406,7 +390,7 @@ TEST(Submit, SessionDestructionDrainsInFlightWork) {
     // then park both on the gate.
     ASSERT_TRUE(session
                     .run_batch_parallel("vp", {images[0], images[1]},
-                                        {.workers = 2, .max_workers = 2})
+                                        {.workers = 2})
                     .is_ok());
     for (int i = 0; i < 2; ++i) parked.push_back(session.submit("gated", images[i]));
     // lenet5_b is not staged yet: its staging task queues behind the
