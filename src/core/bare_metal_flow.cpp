@@ -67,40 +67,6 @@ SocExecution PlatformEnvelopes::platform_record(
   return slot->exec;
 }
 
-vp::ReplayEngine& ReplaySchedule::engine(
-    const nvdla::NvdlaConfig& config) const {
-  std::call_once(engine_once_, [&] {
-    engine_ = std::make_unique<vp::ReplayEngine>(config);
-    // Publish and apply any pending hook inside one hook_mutex_ critical
-    // section: a concurrent set_checkin_hook either ran before (its hook
-    // is in checkin_hook_ and applied here) or runs after (it sees
-    // engine_live_ non-null and forwards directly).
-    MutexLock lock(hook_mutex_);
-    if (checkin_hook_) engine_->set_checkin_hook(checkin_hook_);
-    engine_live_.store(engine_.get(), std::memory_order_release);
-  });
-  return *engine_;
-}
-
-void ReplaySchedule::set_checkin_hook(std::function<void()> hook) const {
-  MutexLock lock(hook_mutex_);
-  checkin_hook_ = std::move(hook);
-  if (vp::ReplayEngine* live = engine_live_.load(std::memory_order_acquire)) {
-    live->set_checkin_hook(checkin_hook_);
-  }
-}
-
-std::uint64_t ReplaySchedule::resident_arena_bytes() const {
-  const vp::ReplayEngine* live =
-      engine_live_.load(std::memory_order_acquire);
-  return live != nullptr ? live->resident_bytes() : 0;
-}
-
-std::uint64_t ReplaySchedule::release_arenas() const {
-  vp::ReplayEngine* live = engine_live_.load(std::memory_order_acquire);
-  return live != nullptr ? live->release_free_arenas() : 0;
-}
-
 std::uint64_t ReplaySchedule::schedule_bytes() const {
   std::uint64_t bytes =
       sizeof(ReplaySchedule) + ops.capacity() * sizeof(nvdla::ReplayOp);
@@ -111,8 +77,9 @@ std::uint64_t ReplaySchedule::schedule_bytes() const {
 }
 
 std::shared_ptr<const ReplaySchedule> make_replay_schedule(
-    vp::VpRunResult& vp_result, const compiler::Loadable& loadable) {
-  auto schedule = std::make_shared<ReplaySchedule>();
+    vp::VpRunResult& vp_result, const compiler::Loadable& loadable,
+    const nvdla::NvdlaConfig& config) {
+  auto schedule = std::make_shared<ReplaySchedule>(config);
   schedule->ops = std::move(vp_result.replay_ops);
   vp_result.replay_ops.clear();
   // The pack's source is the preloaded blob; a replay whose memory holds

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>  // std::once_flag / std::call_once
 #include <optional>
 #include <string>
 #include <vector>
@@ -178,6 +177,10 @@ struct TraceArtifacts {
 /// cycles — bit-identical to a full re-run, without the ISS, the KMD, bus
 /// arbitration or trace capture.
 struct ReplaySchedule {
+  /// The engine's constructor only stores `config`: no arena exists until
+  /// the first replay, so a cold schedule holds no arena bytes.
+  explicit ReplaySchedule(const nvdla::NvdlaConfig& config) : engine_(config) {}
+
   /// Decoded functional ops in launch order, with analytic timing.
   std::vector<nvdla::ReplayOp> ops;
   /// KMD-driven VP execution time (driver start to last acknowledged
@@ -190,12 +193,15 @@ struct ReplaySchedule {
   std::uint64_t ops_checksum = 0;
   bool ops_intact() const;
 
-  /// The schedule's session-lifetime functional replay engine: built once
-  /// (thread-safe), it keeps one preloaded arena per concurrently
-  /// replaying worker and resets — not rebuilds — them between images
-  /// (see vp/replay_engine.hpp). A schedule serves exactly one compiled
-  /// network, so the engine's arenas always match the caller's loadable.
-  vp::ReplayEngine& engine(const nvdla::NvdlaConfig& config) const;
+  /// The schedule's session-lifetime functional replay engine, built with
+  /// the schedule: it keeps one preloaded arena per concurrently replaying
+  /// worker and resets — not rebuilds — them between images (see
+  /// vp/replay_engine.hpp). A schedule serves exactly one compiled network,
+  /// so the engine's arenas always match the caller's loadable. `config` is
+  /// unused: the engine already carries the tree the schedule was made for.
+  vp::ReplayEngine& engine(const nvdla::NvdlaConfig& /*config*/) const {
+    return engine_;
+  }
 
   /// How many functional replays executed against this schedule (all
   /// consumers: session runs and pooled snapshots alike).
@@ -214,9 +220,10 @@ struct ReplaySchedule {
   std::uint64_t schedule_bytes() const;
 
   /// Bytes currently held by the replay engine's arenas (0 until the first
-  /// replay builds one). Never constructs the engine — accounting a cold
-  /// schedule must not make it warmer.
-  std::uint64_t resident_arena_bytes() const;
+  /// replay builds one).
+  std::uint64_t resident_arena_bytes() const {
+    return engine_.resident_bytes();
+  }
 
   /// Drop every checked-in replay arena, returning the bytes freed.
   /// Replays in flight keep their checked-out arenas (they return to the
@@ -224,27 +231,21 @@ struct ReplaySchedule {
   /// engine survive, and the next replay rebuilds an arena from the
   /// loadable transparently. The session's byte-budget eviction drops
   /// these before it ever considers dropping the schedule itself.
-  std::uint64_t release_arenas() const;
+  std::uint64_t release_arenas() const {
+    return engine_.release_free_arenas();
+  }
 
   /// Install (nullptr clears) the engine's post-check-in hook (see
-  /// vp::ReplayEngine::set_checkin_hook). Applied to the live engine if
-  /// one exists and remembered for an engine built later, so the session
-  /// can attach its budget-enforcement callback before the first replay.
-  /// Thread-safe.
-  void set_checkin_hook(std::function<void()> hook) const;
+  /// vp::ReplayEngine::set_checkin_hook), so the session can attach its
+  /// budget-enforcement callback. Thread-safe.
+  void set_checkin_hook(std::function<void()> hook) const {
+    engine_.set_checkin_hook(std::move(hook));
+  }
 
  private:
-  mutable std::once_flag engine_once_;
-  /// Written only inside the engine_once_ call_once (a discipline the
-  /// capability analysis cannot express), read afterwards — unannotated.
-  mutable std::unique_ptr<vp::ReplayEngine> engine_;
-  /// Published (release) inside the engine_once_ build so the accounting
-  /// accessors can reach a live engine without risking a call_once build.
-  mutable std::atomic<vp::ReplayEngine*> engine_live_{nullptr};
-  /// Pending check-in hook: hook_mutex_ orders set_checkin_hook against
-  /// engine construction so neither direction can lose the hook.
-  mutable Mutex hook_mutex_;
-  mutable std::function<void()> checkin_hook_ GUARDED_BY(hook_mutex_);
+  /// Internally synchronized, so every accessor above may reach it from a
+  /// const schedule on any thread.
+  mutable vp::ReplayEngine engine_;
   mutable std::atomic<std::uint32_t> replays_{0};
 };
 
@@ -275,45 +276,9 @@ struct PreparedModel {
   /// program — is input-independent), which leaves `vp().output`
   /// describing the *traced* image; backends that report the accelerator's
   /// functional output (`vp`, `linux_baseline`) replay the recorded
-  /// schedule when this is false instead of returning the stale tensor.
+  /// schedule on every run while this is false instead of returning the
+  /// stale tensor.
   bool vp_matches_input = true;
-
-  /// Functional result for the current (repacked) input, filled lazily by
-  /// the first backend that needed it because vp_matches_input is false —
-  /// so repeated runs of the same repacked image pay for one replay, not
-  /// one per call. Thread-safe compute-once memo: snapshots that share a
-  /// surface (same image) share the memo, and concurrent pooled tasks
-  /// cannot double-compute or tear the value (the losing callers block on
-  /// the mutex until the winner's value is ready). Repacking to a new
-  /// image swaps in a fresh memo. Deliberately NOT std::call_once: the
-  /// compute may throw (an injected fault inside the VP re-run surfaces
-  /// as a StatusError), and a throwing callable must leave the memo empty
-  /// so a retry recomputes — pthread_once-based call_once is a known
-  /// deadlock there under ThreadSanitizer, whose interceptor never
-  /// releases the once-flag on the exceptional path.
-  struct VpRefresh {
-    Cycle total_cycles = 0;
-    std::vector<float> output;
-  };
-  class VpRefreshMemo {
-   public:
-    const VpRefresh& get_or_compute(
-        const std::function<VpRefresh()>& compute) const {
-      MutexLock lock(mutex_);
-      if (!ready_) {
-        value_ = compute();  // may throw: memo stays empty for the retry
-        ready_ = true;
-      }
-      return value_;  // immutable once ready_: the escaping ref is safe
-    }
-
-   private:
-    mutable Mutex mutex_;
-    mutable bool ready_ GUARDED_BY(mutex_) = false;
-    mutable VpRefresh value_ GUARDED_BY(mutex_);
-  };
-  std::shared_ptr<VpRefreshMemo> vp_refresh =
-      std::make_shared<VpRefreshMemo>();
 
   // --- views into the shared cores (valid once the stage is staged) --------
   bool has_frontend() const { return frontend != nullptr; }
@@ -343,12 +308,13 @@ struct PreparedModel {
   vp::WeightFile preload_weight_file() const;
 };
 
-/// Build the replay-schedule core from a freshly captured VP run, moving
-/// the recorded ops out of it (the trace core does not need them), and pack
-/// each int8 conv op's weights from `loadable`'s weight blob once for the
-/// conv kernel (nvdla::pack_conv_weights).
+/// Build the replay-schedule core from a freshly captured VP run on the
+/// `config` tree, moving the recorded ops out of it (the trace core does
+/// not need them), and pack each int8 conv op's weights from `loadable`'s
+/// weight blob once for the conv kernel (nvdla::pack_conv_weights).
 std::shared_ptr<const ReplaySchedule> make_replay_schedule(
-    vp::VpRunResult& vp_result, const compiler::Loadable& loadable);
+    vp::VpRunResult& vp_result, const compiler::Loadable& loadable,
+    const nvdla::NvdlaConfig& config);
 
 /// Functional replay of the recorded schedule for `prepared`'s current
 /// input: DMA payload movement plus op math only, on a fresh replay

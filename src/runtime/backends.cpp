@@ -75,28 +75,36 @@ Status validate_prepared(const core::PreparedModel& prepared,
 
 namespace {
 
-/// Functional VP result for a repacked input, memoized per input surface
-/// (compute-once, thread-safe: concurrent pooled tasks sharing a surface
-/// block on the first computation instead of double-simulating). With a
-/// recorded schedule this is a functional replay — no KMD, no trace
-/// capture — reporting the schedule's input-independent cycle count;
-/// without one it falls back to a full VP re-run. Both are deterministic,
-/// so the result is bit-exact with what a full per-image re-simulation
-/// would have produced.
-const core::PreparedModel::VpRefresh& refreshed_vp(
-    const core::PreparedModel& prepared, const RunOptions& options) {
-  return prepared.vp_refresh->get_or_compute(
-      [&]() -> core::PreparedModel::VpRefresh {
-        if (prepared.has_replay()) {
-          return {prepared.replay_schedule().vp_total_cycles,
-                  core::replay_output(prepared, options.flow.fault.get())};
-        }
-        vp::VirtualPlatform platform(prepared.nvdla());
-        platform.set_fault_injector(options.flow.fault);
-        vp::VpRunResult fresh =
-            platform.run(prepared.loadable(), prepared.input);
-        return {fresh.total_cycles, std::move(fresh.output)};
-      });
+/// The accelerator's cycles and output for `prepared`'s current input on
+/// the `nvdla` tree — what `vp` reports and what `linux_baseline` wraps in
+/// its software envelope. In order of preference: the traced output, when
+/// the trace ran on this very input; else a functional replay of the
+/// recorded schedule, whose cycle count is input-independent; else one full
+/// virtual-platform run, which only a prepared model built outside a
+/// session (no schedule) or traced on another tree reaches. The VP is
+/// deterministic, so all three are bit-exact with a per-image re-run.
+struct VpOutcome {
+  Cycle cycles = 0;
+  std::vector<float> output;
+};
+
+VpOutcome run_on_vp(const core::PreparedModel& prepared,
+                    const nvdla::NvdlaConfig& nvdla,
+                    const std::shared_ptr<fault::Injector>& fault) {
+  if (prepared.has_tail() && prepared.vp().total_cycles != 0 &&
+      prepared.nvdla() == nvdla) {
+    if (prepared.vp_matches_input) {
+      return {prepared.vp().total_cycles, prepared.vp().output};
+    }
+    if (prepared.has_replay()) {
+      return {prepared.replay_schedule().vp_total_cycles,
+              core::replay_output(prepared, fault.get())};
+    }
+  }
+  vp::VirtualPlatform platform(nvdla);
+  platform.set_fault_injector(fault);
+  vp::VpRunResult fresh = platform.run(prepared.loadable(), prepared.input);
+  return {fresh.total_cycles, std::move(fresh.output)};
 }
 
 ExecutionResult from_soc_execution(const ExecutionBackend& backend,
@@ -225,30 +233,10 @@ StatusOr<ExecutionResult> VpBackend::run(const core::PreparedModel& prepared,
     result.backend = name();
     result.model = prepared.model_name();
     result.clock = options.flow.soc_clock;
-    if (prepared.has_tail() && prepared.vp().total_cycles != 0 &&
-        prepared.nvdla() == options.flow.nvdla) {
-      if (prepared.vp_matches_input) {
-        // The prepared model's trace stage is exactly this platform's run
-        // for this input and hardware tree (the VP is deterministic);
-        // reuse it instead of re-simulating.
-        result.cycles = prepared.vp().total_cycles;
-        result.output = prepared.vp().output;
-      } else {
-        // Repacked input: for this backend the simulation IS the
-        // execution, so one re-run is the cost of the inference — and it
-        // is memoized on the model so repeats stay free.
-        const auto& fresh = refreshed_vp(prepared, options);
-        result.cycles = fresh.total_cycles;
-        result.output = fresh.output;
-      }
-    } else {
-      vp::VirtualPlatform platform(options.flow.nvdla);
-      platform.set_fault_injector(options.flow.fault);
-      const vp::VpRunResult vp_result =
-          platform.run(prepared.loadable(), prepared.input);
-      result.cycles = vp_result.total_cycles;
-      result.output = vp_result.output;
-    }
+    VpOutcome outcome =
+        run_on_vp(prepared, options.flow.nvdla, options.flow.fault);
+    result.cycles = outcome.cycles;
+    result.output = std::move(outcome.output);
     result.ms = cycles_to_ms(result.cycles, options.flow.soc_clock);
     result.predicted_class = compiler::argmax(result.output);
     return result;
@@ -275,18 +263,10 @@ StatusOr<ExecutionResult> LinuxBaselineBackend::run(
                   "cycle count) of the prepared model");
   }
   try {
-    Cycle accelerator_cycles = prepared.vp().total_cycles;
-    std::vector<float> output = prepared.vp().output;
-    if (!prepared.vp_matches_input) {
-      // Repacked input: the cached VP run describes the traced image, not
-      // this one. Use the memoized re-simulation on the prepared hardware
-      // tree for the functional result.
-      const auto& fresh = refreshed_vp(prepared, options);
-      accelerator_cycles = fresh.total_cycles;
-      output = fresh.output;
-    }
+    VpOutcome outcome =
+        run_on_vp(prepared, prepared.nvdla(), options.flow.fault);
     const baseline::LinuxRunEstimate estimate =
-        platform_.estimate(prepared.loadable(), accelerator_cycles);
+        platform_.estimate(prepared.loadable(), outcome.cycles);
     ExecutionResult result;
     result.backend = name();
     result.model = prepared.model_name();
@@ -295,7 +275,7 @@ StatusOr<ExecutionResult> LinuxBaselineBackend::run(
     result.ms = estimate.ms;
     // Same NVDLA, same loadable: the accelerator result is functionally
     // identical to the VP run; only the software envelope differs.
-    result.output = std::move(output);
+    result.output = std::move(outcome.output);
     result.predicted_class = compiler::argmax(result.output);
     result.linux_estimate = estimate;
     return result;

@@ -21,14 +21,14 @@ namespace nvsoc::runtime {
 ///
 /// Functional replay is the serving default (`?mode=replay`): the first
 /// run per (platform, flow) records the full cycle-accurate execution's
-/// input-independent envelope on the prepared model's replay schedule;
-/// every later image replays the functional op pipeline only — same
+/// input-independent envelope beside the prepared model's program
+/// (core::PlatformEnvelopes); every later image replays the functional op
+/// pipeline only — same
 /// outputs, same cycle counts, none of the µRISC-V ISS stepping.
 /// `?mode=cycle_accurate` opts a variant back into simulating every image
-/// in full (with `?decode_cache=off`, the parity oracle), and a session
-/// whose replay engine is off (`set_replay_enabled(false)`) stages no
-/// schedule, so the default variant falls back to full execution too — the
-/// session-level opt-out.
+/// in full; with `?decode_cache=off` it is the parity oracle every replay
+/// path is checked against. A prepared model without a schedule (built
+/// outside a session) executes in full too.
 class SocPlatformBackend final : public ExecutionBackend {
  public:
   explicit SocPlatformBackend(core::Platform platform, bool replay_mode = true)
@@ -39,7 +39,7 @@ class SocPlatformBackend final : public ExecutionBackend {
   StatusOr<ExecutionResult> run(const core::PreparedModel& prepared,
                                 const RunOptions& options) const override;
   /// In replay mode: eagerly record the input-independent platform
-  /// envelope on the prepared model's replay schedule (idempotent; a
+  /// envelope beside the prepared model's program (idempotent; a
   /// cycle-accurate backend stages nothing).
   void stage(const core::PreparedModel& prepared,
              const RunOptions& options) const override;

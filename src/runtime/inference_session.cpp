@@ -434,28 +434,6 @@ void InferenceSession::repack_into(const ModelState& model,
   // surface themselves; preload_weight_file() materializes a patched copy
   // for data-product exports.
   prepared.vp_matches_input = false;
-  // Any memoized functional result is stale now; a fresh compute-once memo
-  // keeps concurrent consumers of the *new* surface single-computing.
-  prepared.vp_refresh = std::make_shared<core::PreparedModel::VpRefreshMemo>();
-}
-
-void InferenceSession::set_replay_enabled(bool enabled) {
-  drain_all_staging();
-  MutexLock lock(submit_mutex_);
-  if (enabled == replay_enabled_) return;
-  replay_enabled_ = enabled;
-  // Re-enabling needs no bookkeeping: a model without a schedule is not
-  // staged, so its next use re-traces to record one (config file and
-  // program are reused when the CSB stream matches, which it always does
-  // for a same-shape image).
-  if (enabled) return;
-  for (auto& [name, state] : models_) {
-    ModelState& model = *state;
-    if (model.prepared.replay != nullptr) {
-      model.replay_base += model.prepared.replay->replay_count();
-      model.prepared.replay.reset();
-    }
-  }
 }
 
 void InferenceSession::ensure_reference(ModelState& model) {
@@ -491,13 +469,13 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   tail->vp = platform.run(prepared.frontend->loadable, prepared.input);
   ++counters_.trace;
 
-  // The full run just recorded a fresh replay schedule. A replay-disabled
-  // session stages no schedule at all, so its snapshots re-simulate in
-  // full; the inline rebuild after a quarantine skips it too (its
-  // task-local schedule could never be reused).
+  // The full run just recorded a fresh replay schedule. The inline rebuild
+  // after a quarantine drops it (its task-local schedule could never be
+  // reused, and nothing measured from a suspect state is replayed).
   prepared.replay =
       record_replay ? core::make_replay_schedule(tail->vp,
-                                                 prepared.frontend->loadable)
+                                                 prepared.frontend->loadable,
+                                                 model.config.nvdla)
                     : nullptr;
 
   // When the new trace programs the engine identically (it always does —
@@ -523,7 +501,6 @@ void InferenceSession::stage_tail_into(const ModelState& model,
 
   prepared.tail = std::move(tail);
   prepared.vp_matches_input = true;
-  prepared.vp_refresh = std::make_shared<core::PreparedModel::VpRefreshMemo>();
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +533,6 @@ void InferenceSession::start_staging_locked(ModelState& model,
   core::PreparedModel base = model.prepared;
   std::vector<float> calibration_image;
   if (!base.has_frontend()) calibration_image = default_input_locked(model);
-  const bool record_replay = replay_enabled_;
   // The staging trace itself always runs fault-free (clean artifacts are
   // what makes injected corruption *detectable*), but the staging task as a
   // control-flow unit can fail: the plan's `staging` kind fails the latch
@@ -569,7 +545,7 @@ void InferenceSession::start_staging_locked(ModelState& model,
       [this, latch, state = &model, base = std::move(base),
        image = std::vector<float>(image.begin(), image.end()),
        calibration_image = std::move(calibration_image),
-       record_replay, injector = std::move(injector)]() mutable {
+       injector = std::move(injector)]() mutable {
         if (injector != nullptr && injector->fire(fault::Kind::kStagingFail)) {
           ++robust_.staging_faults;
           latch->promise.set_value(
@@ -581,7 +557,7 @@ void InferenceSession::start_staging_locked(ModelState& model,
           if (!base.has_frontend()) {
             base.frontend = build_frontend(*state, calibration_image);
           }
-          stage_tail_into(*state, base, image, record_replay);
+          stage_tail_into(*state, base, image, /*record_replay=*/true);
           // Hook the fresh schedule before the latch publishes it: tasks
           // queued behind the latch replay against it before adoption.
           if (base.replay != nullptr) {
@@ -650,18 +626,6 @@ void InferenceSession::drain_staging(ModelState& model) {
   }
 }
 
-void InferenceSession::drain_all_staging() {
-  std::vector<ModelState*> all;
-  {
-    MutexLock lock(submit_mutex_);
-    all.reserve(models_.size());
-    for (auto& [name, state] : models_) all.push_back(state.get());
-  }
-  // ModelState nodes are pinned for the session lifetime; draining outside
-  // the collection lock is safe.
-  for (ModelState* model : all) drain_staging(*model);
-}
-
 // ---------------------------------------------------------------------------
 // Byte-budgeted replay residency
 // ---------------------------------------------------------------------------
@@ -709,8 +673,7 @@ void InferenceSession::note_use_locked(ModelState& model,
 }
 
 bool InferenceSession::staged_locked(const ModelState& model) const {
-  return model.prepared.has_tail() &&
-         (model.prepared.replay != nullptr || !replay_enabled_);
+  return model.prepared.has_tail() && model.prepared.replay != nullptr;
 }
 
 void InferenceSession::evict_schedule_locked(ModelState& model) {
@@ -827,11 +790,6 @@ void InferenceSession::set_replay_budget_bytes(std::uint64_t budget_bytes) {
     }
   }
   enforce_budget_locked(nullptr);
-}
-
-std::uint64_t InferenceSession::replay_budget_bytes() const {
-  MutexLock lock(submit_mutex_);
-  return replay_budget_bytes_;
 }
 
 std::uint64_t InferenceSession::replay_resident_bytes() const {

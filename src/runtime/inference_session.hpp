@@ -22,8 +22,12 @@
 // staging latch on the session pool. Every VP trace — staging or rebuild —
 // runs on a pool worker, and every request honours the session deadline
 // and retry policy. "Staged" is derived from the cores, never stored: a
-// model is staged while it holds a trace core plus, with replay on, a live
-// schedule.
+// model is staged while it holds a trace core plus a live schedule.
+//
+// One oracle: every replay path is bit-exact with a full simulation of the
+// same image, and that simulation is the check. For the SoC platforms it
+// is the `?mode=cycle_accurate&decode_cache=off` variant; for `vp` and
+// `linux_baseline` it is the virtual platform's own run of the image.
 //
 // Multi-model, multi-variant: one session serves a *fleet*. The
 // constructor registers its network as the default model; register_model()
@@ -406,19 +410,6 @@ class InferenceSession {
   /// pair ever resolved, sorted by (model, spec). Thread-safe.
   std::vector<VariantStats> variant_stats() const;
 
-  /// The functional replay engine is on by default; disabling it drops
-  /// every model's recorded schedule so repacked images fall back to a
-  /// full VP re-simulation (and the — replay-by-default — SoC backends to
-  /// full cycle-accurate execution) — bit-exact either way, kept as the
-  /// parity/benchmark comparator and as the session-level opt-out pairing
-  /// with the backends' `?mode=cycle_accurate` spec knob. Re-enabling
-  /// re-records each model's schedule on its next staged trace.
-  void set_replay_enabled(bool enabled);
-  bool replay_enabled() const {
-    MutexLock lock(submit_mutex_);
-    return replay_enabled_;
-  }
-
   // --- replay-residency byte budget ---------------------------------------
   /// Bound the bytes replay residency may hold across all models:
   /// schedule bytes + resident arena bytes + recorded envelope bytes,
@@ -430,7 +421,6 @@ class InferenceSession {
   /// is best-effort: snapshots held by in-flight tasks keep dropped cores
   /// alive until those tasks finish. Thread-safe.
   void set_replay_budget_bytes(std::uint64_t budget_bytes);
-  std::uint64_t replay_budget_bytes() const;
   /// Current replay residency (schedule + arena + envelope bytes across
   /// all models, ready-but-unadopted staging latches included; an evicted
   /// model still holds its envelopes). Thread-safe.
@@ -710,16 +700,12 @@ class InferenceSession {
   /// sync point every session-thread stage accessor passes through before
   /// touching model.prepared.
   void drain_staging(ModelState& model) EXCLUDES(submit_mutex_);
-  /// drain_staging across every model (set_replay_enabled, teardown-ish
-  /// paths).
-  void drain_all_staging();
   /// Record a use for LRU purposes and collect variant tallies.
   void note_use_locked(ModelState& model, VariantState* variant)
       REQUIRES(submit_mutex_);
-  /// The model's adopted cores can serve a request: a trace core, plus the
-  /// replay schedule unless replay is off. A budget eviction (schedule
-  /// dropped), a quarantine (trace core dropped) or re-enabling replay
-  /// makes the next use restage.
+  /// The model's adopted cores can serve a request: a trace core plus its
+  /// replay schedule. A budget eviction (schedule dropped) or a quarantine
+  /// (trace core dropped) makes the next use restage.
   bool staged_locked(const ModelState& model) const REQUIRES(submit_mutex_);
   /// prepare_async()'s body after spec resolution.
   StagingHandle prepare_async_resolved(const ResolvedSpec& spec,
@@ -822,9 +808,8 @@ class InferenceSession {
   /// re-running the VP: input tensor only — the FP32 reference is cleared
   /// for lazy recomputation. Marks the shared trace as not matching the
   /// input (backends that need the functional output replay the recorded
-  /// schedule, memoized per surface) and swaps in a fresh compute-once
-  /// memo. Safe to call concurrently on distinct surfaces — it only reads
-  /// shared immutable state.
+  /// schedule on each run). Safe to call concurrently on distinct surfaces
+  /// — it only reads shared immutable state.
   void repack_into(const ModelState& model, core::PreparedModel& prepared,
                    std::span<const float> image) const;
   /// prepare()'s body for an arbitrary model.
@@ -847,7 +832,6 @@ class InferenceSession {
   /// so the annotations below may name it.
   mutable Mutex submit_mutex_;
 
-  bool replay_enabled_ GUARDED_BY(submit_mutex_) = true;
   /// 0 = unlimited.
   std::uint64_t replay_budget_bytes_ GUARDED_BY(submit_mutex_) = 0;
   RetryPolicy retry_policy_ GUARDED_BY(submit_mutex_);

@@ -17,6 +17,7 @@
 #include "models/models.hpp"
 #include "runtime/backends.hpp"
 #include "runtime/inference_session.hpp"
+#include "vp/virtual_platform.hpp"
 
 namespace nvsoc {
 namespace {
@@ -411,18 +412,18 @@ TEST(SessionPool, OneWorkerPoolStagesAndServesInFifoOrder) {
 TEST(ReplayArenas, RepeatedReplaysReuseOneArenaBitExactly) {
   const auto images = synthetic_batch(models::lenet5(), 4, 6900);
   InferenceSession session(models::lenet5());
-  InferenceSession fullsim(models::lenet5());
-  fullsim.set_replay_enabled(false);
 
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < images.size(); ++i) {
       const auto replayed = session.run("vp", images[i]);
-      const auto simulated = fullsim.run("vp", images[i]);
       ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-      ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
-      EXPECT_EQ(replayed->output, simulated->output)
+      // The oracle: the virtual platform's own run of this image.
+      const vp::VpRunResult simulated =
+          vp::VirtualPlatform(session.config().nvdla)
+              .run(session.loadable(), images[i]);
+      EXPECT_EQ(replayed->output, simulated.output)
           << "round " << round << " image " << i;
-      EXPECT_EQ(replayed->cycles, simulated->cycles)
+      EXPECT_EQ(replayed->cycles, simulated.total_cycles)
           << "round " << round << " image " << i;
     }
   }

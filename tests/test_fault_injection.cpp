@@ -260,17 +260,23 @@ TEST(FaultTaxonomy, VpFullRunSurfacesCsbFaults) {
   const auto image_a = synthetic_image(9300);
   const auto image_b = synthetic_image(9301);
   InferenceSession session(models::lenet5());
-  // Without a recorded schedule the repacked image re-simulates the full
-  // VP — the path where the engine-level CSB faults live.
-  session.set_replay_enabled(false);
-  ASSERT_TRUE(session.run("vp", image_a).is_ok());
+  // A prepared model without a recorded schedule re-simulates a repacked
+  // image on the full VP — the path where the engine-level CSB faults live.
+  core::PreparedModel prepared = session.prepare(image_a);
+  prepared.replay.reset();
+  prepared.input = image_b;
+  prepared.vp_matches_input = false;
+  runtime::RunOptions options;
+  options.flow = session.config();
+  const auto& registry = runtime::BackendRegistry::global();
 
-  const auto timeout =
-      session.run("vp?fault=csb_timeout:1+seed:121", image_b);
+  const auto timeout = (*registry.find("vp?fault=csb_timeout:1+seed:121"))
+                           ->run(prepared, options);
   ASSERT_FALSE(timeout.is_ok());
   EXPECT_EQ(timeout.status().code(), StatusCode::kDeadlineExceeded);
 
-  const auto error = session.run("vp?fault=csb_error:1+seed:122", image_b);
+  const auto error = (*registry.find("vp?fault=csb_error:1+seed:122"))
+                         ->run(prepared, options);
   ASSERT_FALSE(error.is_ok());
   EXPECT_EQ(error.status().code(), StatusCode::kUnavailable);
 }
@@ -384,15 +390,18 @@ TEST(Canary, QuarantineDuringInFlightStagingIsNotAdoptedBack) {
   ASSERT_TRUE(registry.add(std::move(owned)).is_ok());
   const auto image = synthetic_image(9560);
   InferenceSession session(models::lenet5(), {}, &registry);
+  ASSERT_TRUE(session.register_model("twin", models::lenet5()).is_ok());
   const auto clean = session.run("soc_dataloss", image);
   ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
   EXPECT_EQ(session.counters().envelopes, 1u);
 
-  // Drop the schedule but keep the trace core and its envelope, as a
-  // budget eviction does: the next submit stages from that core, so its
-  // staging latch carries the envelope.
-  session.set_replay_enabled(false);
-  session.set_replay_enabled(true);
+  // A budget below both models evicts the cold schedule but keeps the
+  // trace core and its envelope: the next submit stages from that core,
+  // so its staging latch carries the envelope. Lifting the budget again
+  // leaves the rest of the test to the quarantine alone.
+  session.set_replay_budget_bytes(1);
+  EXPECT_EQ(session.counters().evictions, 1u);
+  session.set_replay_budget_bytes(0);
 
   // The task queued behind the latch detects corruption before anything
   // adopts the latch: the quarantine lands with the staging in flight.

@@ -1,10 +1,13 @@
 // Functional replay engine: bit-exactness of replayed outputs and cycle
 // counts against full cycle-accurate simulation on all four backends, the
 // `?mode=replay` SoC variants, replay-schedule sharing across pooled
-// workers, the schedule's packed conv weights, the thread-safe
-// compute-once refresh memo (the old lazy optional raced under concurrent
-// pooled tasks), StageCounters::replay accounting, and the memory-sizing
+// workers, the schedule's packed conv weights, concurrent replays on one
+// shared surface, StageCounters::replay accounting, and the memory-sizing
 // spec vocabulary.
+//
+// One oracle throughout: the SoC platforms are checked against
+// `?mode=cycle_accurate&decode_cache=off`, and vp/linux_baseline against
+// the virtual platform's own run of each image.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -13,6 +16,7 @@
 #include "models/models.hpp"
 #include "runtime/backends.hpp"
 #include "runtime/inference_session.hpp"
+#include "vp/virtual_platform.hpp"
 
 namespace nvsoc {
 namespace {
@@ -34,6 +38,16 @@ std::vector<std::vector<float>> synthetic_batch(const compiler::Network& net,
   return images;
 }
 
+/// The vp/linux_baseline oracle: a fresh session whose one VP trace is of
+/// `image` itself, so the backend reports the virtual platform's own run
+/// of that image (no repack, no replay).
+StatusOr<runtime::ExecutionResult> traced_oracle(compiler::Network (*build)(),
+                                                 const std::string& backend,
+                                                 std::span<const float> image) {
+  InferenceSession traced(build());
+  return traced.run(backend, image);
+}
+
 // ---------------------------------------------------------------------------
 // Surface-aware arena reset
 // ---------------------------------------------------------------------------
@@ -46,15 +60,14 @@ std::vector<std::vector<float>> synthetic_batch(const compiler::Network& net,
 TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
   const auto images = synthetic_batch(models::lenet5(), 3, 4300);
   InferenceSession session(models::lenet5());
-  InferenceSession full(models::lenet5());
-  full.set_replay_enabled(false);
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < images.size(); ++i) {
       const auto replayed = session.run("vp", images[i]);
-      const auto simulated = full.run("vp", images[i]);
       ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-      ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
-      EXPECT_EQ(replayed->output, simulated->output)
+      const vp::VpRunResult simulated =
+          vp::VirtualPlatform(session.config().nvdla)
+              .run(session.loadable(), images[i]);
+      EXPECT_EQ(replayed->output, simulated.output)
           << "round " << round << " image " << i;
     }
   }
@@ -106,17 +119,15 @@ TEST(ScheduleWeightPacks, EveryConvOpCarriesAPackCountedInScheduleBytes) {
 // ---------------------------------------------------------------------------
 
 /// vp / linux_baseline take the replay path automatically on repacked
-/// images; a replay-disabled session re-simulates every repacked image in
-/// full. Both must agree bit for bit, on outputs and on cycles.
+/// images. Each must agree bit for bit, on outputs and on cycles, with the
+/// virtual platform's own run of the same image.
 void expect_replay_matches_full(compiler::Network (*build)(),
                                 const char* backend) {
   const auto images = synthetic_batch(build(), 3, 4100);
   InferenceSession fast(build());
-  InferenceSession full(build());
-  full.set_replay_enabled(false);
   for (const auto& image : images) {
     const auto replayed = fast.run(backend, image);
-    const auto simulated = full.run(backend, image);
+    const auto simulated = traced_oracle(build, backend, image);
     ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
     ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
     EXPECT_EQ(replayed->output, simulated->output) << backend;
@@ -126,7 +137,6 @@ void expect_replay_matches_full(compiler::Network (*build)(),
   // Images beyond the first traced one were replays, not re-simulations.
   EXPECT_EQ(fast.counters().trace, 1u);
   EXPECT_EQ(fast.counters().replay, 2u);
-  EXPECT_EQ(full.counters().replay, 0u);
 }
 
 TEST(ReplayBitExact, VpBackendLenet) {
@@ -146,7 +156,7 @@ TEST(ReplayBitExact, LinuxBaselineResnet) {
 }
 
 /// The SoC platforms replay by default (the bare base spec); the oracle —
-/// a replay-disabled session on `?mode=cycle_accurate&decode_cache=off` —
+/// `?mode=cycle_accurate&decode_cache=off`, in a session of its own —
 /// simulates every image in full on the per-instruction ISS. Outputs,
 /// cycles and latency must be bit-identical — the recorded envelope is
 /// input-independent.
@@ -158,7 +168,6 @@ void expect_soc_replay_matches_full(compiler::Network (*build)(),
   const std::string replay_spec = base;
   InferenceSession session(build());
   InferenceSession oracle(build());
-  oracle.set_replay_enabled(false);
   for (const auto& image : images) {
     const auto simulated = oracle.run(oracle_spec, image);
     const auto replayed = session.run(replay_spec, image);
@@ -208,34 +217,6 @@ TEST(ReplayBitExact, ReclockedSystemTopReplayRecordsItsOwnEnvelope) {
   EXPECT_EQ(replayed->cycles, fast->cycles);
   EXPECT_EQ(replayed->ms, fast->ms);
   EXPECT_EQ(replayed->output, fast->output);
-}
-
-/// set_replay_enabled(false) drops the schedule: repacked images fall
-/// back to full re-simulation and ?mode=replay to full execution —
-/// bit-exact with the replay path, with no replays counted.
-TEST(ReplayBitExact, ReplayDisabledSessionFallsBackBitExactly) {
-  const auto images = synthetic_batch(models::lenet5(), 3, 4270);
-  InferenceSession fast(models::lenet5());
-  InferenceSession slow(models::lenet5());
-  slow.set_replay_enabled(false);
-  EXPECT_FALSE(slow.replay_enabled());
-  for (const auto& image : images) {
-    for (const char* backend : {"vp", "soc?mode=replay"}) {
-      const auto replayed = fast.run(backend, image);
-      const auto simulated = slow.run(backend, image);
-      ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-      ASSERT_TRUE(simulated.is_ok()) << simulated.status().to_string();
-      EXPECT_EQ(replayed->output, simulated->output) << backend;
-      EXPECT_EQ(replayed->cycles, simulated->cycles) << backend;
-    }
-  }
-  EXPECT_FALSE(slow.prepared().has_replay());
-  EXPECT_EQ(slow.counters().replay, 0u);
-  EXPECT_GT(fast.counters().replay, 0u);
-  // Re-enabling re-records the schedule on the next staged trace.
-  slow.set_replay_enabled(true);
-  ASSERT_TRUE(slow.run("vp", images[0]).is_ok());
-  EXPECT_TRUE(slow.prepared().has_replay());
 }
 
 /// SoC cycle counts are input-independent (same program, same schedule):
@@ -295,11 +276,10 @@ TEST(ReplaySharing, SequentialBatchCountsOneReplayPerRepackedImage) {
   EXPECT_EQ(session.counters().replay, 3u);
 }
 
-/// The old memo was a bare mutable std::optional written from concurrent
-/// pooled tasks; the compute-once memo must serve one shared repacked
-/// surface from exactly one replay, however many threads race on it.
+/// Threads racing on one shared repacked surface each replay it — one
+/// replay per run, as the SoC replay path does — and agree bit for bit.
 /// (This test runs under the ThreadSanitizer CI job.)
-TEST(ReplaySharing, ConcurrentRunsOnASharedSurfaceReplayExactlyOnce) {
+TEST(ReplaySharing, ConcurrentRunsOnASharedSurfaceReplayOncePerRun) {
   const auto images = synthetic_batch(models::lenet5(), 2, 4600);
   InferenceSession session(models::lenet5());
   (void)session.prepare(images[0]);
@@ -323,7 +303,7 @@ TEST(ReplaySharing, ConcurrentRunsOnASharedSurfaceReplayExactlyOnce) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(session.counters().replay, 1u);
+  EXPECT_EQ(session.counters().replay, kThreads);
   for (std::size_t t = 1; t < kThreads; ++t) {
     EXPECT_EQ(outputs[t], outputs[0]);
   }

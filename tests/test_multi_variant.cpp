@@ -145,7 +145,6 @@ TEST(MultiVariant, BudgetEvictsColdModelAndRestagesBitExactly) {
   const std::uint64_t budget = session.replay_resident_bytes();
   ASSERT_GT(budget, 0u);
   session.set_replay_budget_bytes(budget);
-  EXPECT_EQ(session.replay_budget_bytes(), budget);
 
   // Stage + serve the twin: the budget holds one copy, so the cold first
   // model is walked down the LRU — arenas first, then (on the next

@@ -93,21 +93,21 @@ TEST(Repack, BitExactWithFullReplayOnEveryBackend) {
   const auto images = synthetic_batch(models::lenet5(), 3, 600);
 
   InferenceSession fast(models::lenet5());
-  // The oracle: no replay schedule, so repacked images re-simulate the VP
-  // in full, and the SoC platforms run cycle-accurate on the
-  // per-instruction ISS.
+  // The oracles: the SoC platforms run cycle-accurate on the
+  // per-instruction ISS in a session of their own; vp/linux_baseline
+  // report the virtual platform's own run of each image, from a fresh
+  // session that traced it.
   InferenceSession oracle(models::lenet5());
-  oracle.set_replay_enabled(false);
 
   for (const std::string backend :
        {"soc", "system_top", "vp", "linux_baseline"}) {
-    const std::string oracle_spec =
-        backend == "soc" || backend == "system_top"
-            ? backend + "?mode=cycle_accurate&decode_cache=off"
-            : backend;
+    const bool soc = backend == "soc" || backend == "system_top";
     for (std::size_t i = 0; i < images.size(); ++i) {
       const auto a = fast.run(backend, images[i]);
-      const auto b = oracle.run(oracle_spec, images[i]);
+      const auto b =
+          soc ? oracle.run(backend + "?mode=cycle_accurate&decode_cache=off",
+                           images[i])
+              : InferenceSession(models::lenet5()).run(backend, images[i]);
       ASSERT_TRUE(a.is_ok()) << backend << ": " << a.status().to_string();
       ASSERT_TRUE(b.is_ok()) << backend << ": " << b.status().to_string();
       EXPECT_EQ(a->output, b->output) << backend << " image " << i;
@@ -142,11 +142,11 @@ TEST(Repack, WeightFilePreloadImageMatchesFullReplay) {
   EXPECT_EQ(fast_bytes, traced_bytes);
 }
 
-TEST(Repack, RepeatedRunsOfARepackedImageMemoizeTheResimulation) {
+TEST(Repack, RepeatedRunsOfARepackedImageReplayInsteadOfRetracing) {
   const auto images = synthetic_batch(models::lenet5(), 2, 750);
   InferenceSession session(models::lenet5());
   ASSERT_TRUE(session.run("vp", images[0]).is_ok());
-  // images[1] is repacked; the vp backend must re-simulate for its output…
+  // images[1] is repacked; the vp backend must recompute its output…
   const auto first = session.run("vp", images[1]);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
   const auto& prepared = session.prepare(images[1]);
