@@ -104,67 +104,4 @@ void replay_op(const NvdlaConfig& config, const ReplayOp& op,
   }
 }
 
-namespace {
-
-void add_range(std::vector<ReplayAccess::Range>& ranges, Addr base,
-               std::uint64_t bytes) {
-  if (bytes == 0) return;
-  ranges.push_back({base, base + bytes});
-}
-
-/// The SDP side channels (BS bias table, X1 eltwise cube) — shared by the
-/// conv flying tail and standalone SDP, sized exactly as the replay reads
-/// them.
-void add_sdp_side_reads(const NvdlaConfig& config, const SdpOp& sdp,
-                        std::vector<ReplayAccess::Range>& reads) {
-  if (sdp.bias_enable) {
-    add_range(reads, sdp.bias_addr, static_cast<std::uint64_t>(sdp.dims.c) * 4);
-  }
-  if (sdp.eltwise_enable) {
-    add_range(reads, sdp.operand_addr, eltwise_bytes(config, sdp));
-  }
-}
-
-}  // namespace
-
-ReplayAccess replay_access_ranges(const NvdlaConfig& config,
-                                  const ReplayOp& op) {
-  ReplayAccess access;
-  switch (op.kind) {
-    case ReplayOp::Kind::kConv:
-      add_range(access.reads, op.conv.input.base, op.conv.input.span_bytes());
-      add_range(access.reads, op.conv.weight_addr, op.conv.weight_bytes);
-      add_sdp_side_reads(config, op.sdp, access.reads);
-      add_range(access.writes, op.sdp.dst.base, op.sdp.dst.span_bytes());
-      return access;
-    case ReplayOp::Kind::kSdp:
-      add_range(access.reads, op.sdp.src.base, op.sdp.src.span_bytes());
-      add_sdp_side_reads(config, op.sdp, access.reads);
-      add_range(access.writes, op.sdp.dst.base, op.sdp.dst.span_bytes());
-      return access;
-    case ReplayOp::Kind::kPdp:
-      add_range(access.reads, op.pdp.src.base, op.pdp.src.span_bytes());
-      add_range(access.writes, op.pdp.dst.base, op.pdp.dst.span_bytes());
-      return access;
-    case ReplayOp::Kind::kCdp:
-      add_range(access.reads, op.cdp.src.base, op.cdp.src.span_bytes());
-      add_range(access.writes, op.cdp.dst.base, op.cdp.dst.span_bytes());
-      return access;
-    case ReplayOp::Kind::kBdma:
-      // Strided lines are reported per line, not as a covering span: the
-      // bytes between lines are neither read nor written, and claiming
-      // them would let the reset planner skip restoring stale data.
-      for (std::uint32_t i = 0; i < op.bdma.line_repeat; ++i) {
-        add_range(access.reads,
-                  op.bdma.src_addr + static_cast<Addr>(i) * op.bdma.src_stride,
-                  op.bdma.line_size);
-        add_range(access.writes,
-                  op.bdma.dst_addr + static_cast<Addr>(i) * op.bdma.dst_stride,
-                  op.bdma.line_size);
-      }
-      return access;
-  }
-  return access;
-}
-
 }  // namespace nvsoc::nvdla

@@ -18,7 +18,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "nvdla/config.hpp"
 #include "nvdla/ops.hpp"
@@ -66,22 +65,5 @@ struct ReplayOp {
 /// order — they chain through memory.
 void replay_op(const NvdlaConfig& config, const ReplayOp& op,
                ReplayMemory& mem);
-
-/// The exact byte ranges one recorded op touches when replayed — decoded
-/// from the same descriptor fields replay_op stages from, so the ranges
-/// are correct by construction against the replay above (each kind's
-/// reads/writes mirror its replay_* body, bdma's strided lines included).
-/// Consumers (the replay engine's surface-aware arena reset) use these to
-/// prove which memory a schedule rewrites every image.
-struct ReplayAccess {
-  struct Range {
-    Addr begin = 0;
-    Addr end = 0;  ///< half-open
-  };
-  std::vector<Range> reads;
-  std::vector<Range> writes;
-};
-ReplayAccess replay_access_ranges(const NvdlaConfig& config,
-                                  const ReplayOp& op);
 
 }  // namespace nvsoc::nvdla

@@ -509,7 +509,7 @@ void InferenceSession::stage_tail_into(const ModelState& model,
 
 void InferenceSession::note_staging_issued() {
   const std::uint32_t now =
-      counters_.staging_in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
+      counters_.stagings_running.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint32_t peak = counters_.staging_peak.load(std::memory_order_relaxed);
   while (peak < now && !counters_.staging_peak.compare_exchange_weak(
                            peak, now, std::memory_order_relaxed)) {
@@ -517,7 +517,7 @@ void InferenceSession::note_staging_issued() {
 }
 
 void InferenceSession::note_staging_done() {
-  counters_.staging_in_flight.fetch_sub(1, std::memory_order_relaxed);
+  counters_.stagings_running.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void InferenceSession::start_staging_locked(ModelState& model,
@@ -815,8 +815,6 @@ StageCounters InferenceSession::counters() const {
   snapshot.program = counters_.program.load(std::memory_order_relaxed);
   snapshot.async_stagings =
       counters_.async_stagings.load(std::memory_order_relaxed);
-  snapshot.staging_in_flight =
-      counters_.staging_in_flight.load(std::memory_order_relaxed);
   snapshot.staging_peak =
       counters_.staging_peak.load(std::memory_order_relaxed);
   snapshot.evictions = counters_.evictions.load(std::memory_order_relaxed);
@@ -1246,7 +1244,7 @@ StagingHandle InferenceSession::prepare_async_resolved(
       pool = &pool_locked(0);
       source = staging_source_locked(model, image);
     }
-    // Issued-at-enqueue: a vector prepare pushes staging_in_flight to the
+    // Issued-at-enqueue: a vector prepare pushes stagings_running to the
     // fleet size before any task completes — the concurrency evidence.
     note_staging_issued();
     try {
@@ -1305,9 +1303,7 @@ StatusOr<std::vector<ExecutionResult>> InferenceSession::run_batch_parallel(
   if (images.empty()) return std::vector<ExecutionResult>{};
   ModelState& model = *resolved->state_;
 
-  RunOptions per_run = run_options(model);
-  per_run.validate = options.validate;
-  if (options.deadline_ms != 0) per_run.deadline_ms = options.deadline_ms;
+  const RunOptions per_run = run_options(model);
 
   // Sizes the session pool if this batch is the first pooled call: an
   // explicit count is clamped to the batch (a 2-image batch with workers=8

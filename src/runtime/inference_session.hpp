@@ -157,13 +157,11 @@ struct StageCounters {
   /// counted by `trace` when the pool executes it. Per-model latches mean
   /// concurrent variants of distinct models each contribute one.
   std::uint32_t async_stagings = 0;
-  /// Staging pipeline elements (shared-artifact latch tasks *and*
-  /// per-variant stage() hook tasks) currently in flight — issued but not
-  /// finished. Concurrency evidence for the variant tier.
-  std::uint32_t staging_in_flight = 0;
-  /// High-water mark of staging_in_flight over the session lifetime: a
-  /// vector prepare of N variants pushes this to N (the enqueues outrun
-  /// any single staging task), proving the stagings overlapped.
+  /// High-water mark of the staging pipeline elements (shared-artifact
+  /// latch tasks *and* per-variant stage() hook tasks) in flight at once —
+  /// issued but not finished — over the session lifetime: a vector prepare
+  /// of N variants pushes this to N (the enqueues outrun any single staging
+  /// task), proving the stagings overlapped.
   std::uint32_t staging_peak = 0;
   /// Replay schedules dropped by the byte-budget eviction policy (each
   /// re-stages transparently — one re-trace — on its model's next use).
@@ -175,20 +173,16 @@ struct StageCounters {
   std::uint32_t envelopes = 0;
 };
 
-/// Knobs for run_batch_parallel().
+/// Options for run_batch_parallel(): only the pool size. Every image runs
+/// with the session's RunOptions — the default deadline
+/// (set_default_deadline_ms) and the backend spec's overrides
+/// (`?validate=off`) — exactly as run() and submit() do.
 struct BatchOptions {
   /// Worker threads; 0 picks one per hardware thread. Every batch runs on
   /// the session's pool, which is created on first use and reused, at a
   /// fixed size, for the session lifetime: only the first pooled call's
   /// value counts, and an explicit value is clamped to that batch's size.
   std::size_t workers = 0;
-  /// Forwarded to RunOptions::validate for every image.
-  bool validate = true;
-  /// Per-request wall-clock deadline forwarded to RunOptions::deadline_ms
-  /// for every image (0 inherits the session default). Enforced at the
-  /// session's task boundaries; an expired request answers
-  /// kDeadlineExceeded instead of running.
-  std::uint32_t deadline_ms = 0;
 };
 
 /// Bounded automatic retry of *transient* failures (is_transient codes:
@@ -573,7 +567,7 @@ class InferenceSession {
     std::atomic<std::uint32_t> config_file{0};
     std::atomic<std::uint32_t> program{0};
     std::atomic<std::uint32_t> async_stagings{0};
-    std::atomic<std::uint32_t> staging_in_flight{0};
+    std::atomic<std::uint32_t> stagings_running{0};  ///< feeds staging_peak
     std::atomic<std::uint32_t> staging_peak{0};
     std::atomic<std::uint32_t> evictions{0};
   };

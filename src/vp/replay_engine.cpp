@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/bitutil.hpp"
-#include "common/interval_set.hpp"
 #include "common/strfmt.hpp"
 
 namespace nvsoc::vp {
@@ -16,67 +15,6 @@ namespace nvsoc::vp {
 namespace {
 constexpr std::uint64_t kPageBytes = 4096;
 }
-
-// ---------------------------------------------------------------------------
-// WritePlan: which pages a schedule provably rewrites before reading
-// ---------------------------------------------------------------------------
-
-/// Built once per schedule from the recorded op descriptors. `resident`
-/// holds every page fully covered by the schedule's write union *when* the
-/// read-before-write audit passes: such a page is rewritten in full on
-/// every replay before any op reads it, so the reset can leave its stale
-/// bytes in place. A failed audit leaves `resident` empty (full reset).
-struct ReplayEngine::WritePlan {
-  std::unordered_set<std::uint64_t> resident;
-  bool audit_passed = false;
-
-  static WritePlan build(const nvdla::NvdlaConfig& config,
-                         std::span<const nvdla::ReplayOp> ops) {
-    WritePlan plan;
-    IntervalSet writes;
-    for (const auto& op : ops) {
-      const auto access = nvdla::replay_access_ranges(config, op);
-      for (const auto& range : access.writes) {
-        writes.insert(range.begin, range.end);
-      }
-    }
-
-    // Audit, in launch order: every byte an op reads must be baseline
-    // state (outside the write union) or already written earlier in the
-    // same replay. A read of plan bytes not yet written this replay would
-    // observe the previous image's data on a skipped page — if any op does
-    // that, no page may be left resident.
-    IntervalSet written;
-    plan.audit_passed = true;
-    for (const auto& op : ops) {
-      const auto access = nvdla::replay_access_ranges(config, op);
-      for (const auto& range : access.reads) {
-        for (const auto& [begin, end] : written.gaps(range.begin, range.end)) {
-          if (writes.intersects(begin, end)) {
-            plan.audit_passed = false;
-            return plan;
-          }
-        }
-      }
-      for (const auto& range : access.writes) {
-        written.insert(range.begin, range.end);
-      }
-    }
-
-    // Pages wholly inside one coalesced write interval are rewritten
-    // before any read: self-cleaning, no restore needed. Pages a write
-    // only clips (the interval's ragged edges) still restore — their
-    // remaining bytes belong to neighbours or baseline state.
-    for (const auto& [begin, end] : writes.intervals()) {
-      const std::uint64_t first = align_up(begin, kPageBytes) / kPageBytes;
-      const std::uint64_t last = end / kPageBytes;  // exclusive
-      for (std::uint64_t page = first; page < last; ++page) {
-        plan.resident.insert(page);
-      }
-    }
-    return plan;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Baseline: the post-preload page images, shared by an engine's arenas
@@ -131,8 +69,8 @@ struct ReplayEngine::Baseline {
 /// semantics after the weight preload: a page the arena never wrote reads
 /// as the shared baseline's page, or as zeros outside the preload. The
 /// first write to a page gives the arena its own copy. Pages dirtied by a
-/// replay are tracked so reset() restores exactly the post-preload state
-/// without reallocating or re-copying the weight blob.
+/// replay are tracked so begin_image() restores exactly the post-preload
+/// state without reallocating or re-copying the weight blob.
 class ReplayEngine::Arena final : public nvdla::ReplayMemory {
  public:
   Arena(const compiler::Loadable& loadable,
@@ -163,27 +101,18 @@ class ReplayEngine::Arena final : public nvdla::ReplayMemory {
            size_ == align_up(loadable.arena_end + (1u << 20), 1u << 20);
   }
 
-  /// Restore dirtied pages to the post-preload baseline, then stage the
-  /// packed input. Pages the plan proves resident (fully rewritten by the
-  /// schedule before any read) are skipped — they *stay in the dirty list*,
-  /// so a later reset under a different (or no) plan restores them like any
-  /// other stale page. Returns how many pages were actually restored.
+  /// Restore every page the previous replay dirtied to the post-preload
+  /// baseline, then stage the packed input. Returns how many pages were
+  /// restored.
   std::size_t begin_image(const compiler::Loadable& loadable,
-                          std::span<const float> image,
-                          const WritePlan* plan) {
-    std::size_t restored = 0;
-    std::vector<std::uint64_t> still_stale;
+                          std::span<const float> image) {
     for (const std::uint64_t index : dirty_) {
-      if (plan != nullptr && plan->resident.count(index) != 0) {
-        still_stale.push_back(index);  // page.dirty stays set
-        continue;
-      }
       auto& page = pages_.at(index);
       restore(index, page);
       page.dirty = false;
-      ++restored;
     }
-    dirty_ = std::move(still_stale);
+    const std::size_t restored = dirty_.size();
+    dirty_.clear();
     write(loadable.input_surface.base, loadable.pack_input(image));
     return restored;
   }
@@ -374,9 +303,6 @@ std::uint64_t ReplayEngine::release_free_arenas() {
         freed += arena->resident_bytes();
         return true;
       });
-  arenas_released_.fetch_add(
-      static_cast<std::uint32_t>(arenas_.end() - keep_end),
-      std::memory_order_relaxed);
   arenas_.erase(keep_end, arenas_.end());
   free_.clear();
   // The shared baseline goes with the last arena (the next acquire
@@ -388,39 +314,13 @@ std::uint64_t ReplayEngine::release_free_arenas() {
   return freed;
 }
 
-std::shared_ptr<const ReplayEngine::WritePlan> ReplayEngine::plan_for(
-    std::span<const nvdla::ReplayOp> ops) {
-  {
-    MutexLock lock(mutex_);
-    if (plan_ != nullptr && plan_key_ == ops.data() &&
-        plan_ops_ == ops.size()) {
-      return plan_;
-    }
-  }
-  // Build outside the lock — the audit walks every descriptor. A racing
-  // rebuild of the same schedule is harmless (identical plans; last one
-  // cached).
-  auto plan = std::make_shared<const WritePlan>(WritePlan::build(config_, ops));
-  if (!plan->audit_passed) {
-    unsafe_plans_.fetch_add(1, std::memory_order_relaxed);
-  }
-  MutexLock lock(mutex_);
-  plan_key_ = ops.data();
-  plan_ops_ = ops.size();
-  plan_ = plan;
-  resident_pages_.store(static_cast<std::uint32_t>(plan->resident.size()),
-                        std::memory_order_relaxed);
-  return plan;
-}
-
 std::vector<float> ReplayEngine::run(const compiler::Loadable& loadable,
                                      std::span<const nvdla::ReplayOp> ops,
                                      std::span<const float> image,
                                      fault::Injector* injector) {
-  const std::shared_ptr<const WritePlan> plan = plan_for(ops);
   Arena* arena = acquire(loadable);
   try {
-    pages_restored_.fetch_add(arena->begin_image(loadable, image, plan.get()),
+    pages_restored_.fetch_add(arena->begin_image(loadable, image),
                               std::memory_order_relaxed);
     if (injector != nullptr) {
       if (injector->fire(fault::Kind::kReplayFail)) {
@@ -449,9 +349,8 @@ std::vector<float> ReplayEngine::run(const compiler::Loadable& loadable,
     release(arena);
     return output;
   } catch (...) {
-    // The arena's dirty tracking survives the failure: resident pages stay
-    // listed as stale, so the next begin_image — under whatever plan —
-    // restores or re-proves them as usual.
+    // The arena's dirty tracking survives the failure, so the next
+    // begin_image restores whatever this replay (or a corruption) wrote.
     release(arena);
     throw;
   }

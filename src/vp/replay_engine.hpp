@@ -17,24 +17,17 @@
 // on first use, so the steady state holds one arena per worker) and checks
 // it back in afterwards. The preloaded parameter pages are held once per
 // engine, as an immutable baseline every arena reads through until it
-// writes a page of its own. Between images an arena is *reset*, not
-// rebuilt: every page the previous replay dirtied is restored to the
+// writes a page of its own.
+//
+// Between images an arena is *reset*, not rebuilt: every page the previous
+// replay dirtied — its intermediate and output surfaces, the input it was
+// given, and any weight page a fault injection flipped — is restored to the
 // post-preload baseline (weight bytes back in place, everything else back
-// to zero) and only the new packed input is written — eliminating the
+// to zero), and only then is the new packed input written. Every image
+// therefore starts from exactly the state a fresh VirtualPlatform::run
+// preloads, with no proof over the op descriptors, while skipping the
 // per-image sparse allocation and multi-MB weight-blob copy of a
 // from-scratch arena.
-//
-// The reset itself is *surface-aware*: from the recorded op descriptors
-// the engine proves (replay_access_ranges + a read-before-write audit)
-// which pages the schedule fully rewrites before ever reading — the
-// intermediate/output surfaces — and skips restoring those "resident"
-// pages entirely; only partially-written pages and pages the plan cannot
-// vouch for are memcpy/memset-restored. A schedule whose audit finds a
-// read of not-yet-written plan bytes (it never happens for compiled
-// networks — ops chain forward) falls back to the full dirty-page reset.
-// Bit-exactness is preserved by construction either way: every byte a
-// replay reads is baseline, fresh input, or written earlier in that same
-// replay.
 #pragma once
 
 #include <atomic>
@@ -88,42 +81,25 @@ class ReplayEngine {
   std::uint64_t images_replayed() const {
     return images_replayed_.load(std::memory_order_relaxed);
   }
-  /// Pages actually memcpy/memset-restored across every reset — the cost
-  /// the surface-aware plan is there to shrink.
+  /// Pages memcpy/memset-restored across every reset: per image, the
+  /// pages the previous replay on that arena dirtied.
   std::uint64_t pages_restored() const {
     return pages_restored_.load(std::memory_order_relaxed);
-  }
-  /// Resident pages the current write plan proved self-cleaning (fully
-  /// rewritten by the schedule before any read — skipped on every reset).
-  std::uint32_t resident_pages() const {
-    return resident_pages_.load(std::memory_order_relaxed);
-  }
-  /// Write plans whose read-before-write audit failed, forcing the full
-  /// dirty-page reset (expected 0 for compiled networks).
-  std::uint32_t unsafe_plans() const {
-    return unsafe_plans_.load(std::memory_order_relaxed);
   }
 
   /// Bytes currently held by this engine's arenas: their allocated pages
   /// plus the one post-preload baseline they share. This is the resident
-  /// cost a byte-budget
-  /// eviction policy reclaims — checked-out arenas are counted too (their
-  /// page tallies are atomics, so an in-flight replay growing its arena
-  /// never races this walk).
+  /// cost a byte-budget eviction policy reclaims — checked-out arenas are
+  /// counted too (their page tallies are atomics, so an in-flight replay
+  /// growing its arena never races this walk).
   std::uint64_t resident_bytes() const;
 
   /// Drop every checked-in arena and return the bytes freed (the shared
-  /// baseline too, once no arena is left). Arenas
-  /// checked out by in-flight replays survive untouched and return to the
-  /// pool on release, where a later call can reclaim them; the engine
-  /// itself stays valid and rebuilds an arena from the loadable on the
-  /// next acquire. Thread-safe.
+  /// baseline too, once no arena is left). Arenas checked out by in-flight
+  /// replays survive untouched and return to the pool on release, where a
+  /// later call can reclaim them; the engine itself stays valid and
+  /// rebuilds an arena from the loadable on the next acquire. Thread-safe.
   std::uint64_t release_free_arenas();
-
-  /// Arenas dropped by release_free_arenas() so far (eviction evidence).
-  std::uint32_t arenas_released() const {
-    return arenas_released_.load(std::memory_order_relaxed);
-  }
 
   /// Install (nullptr clears) a hook fired after every arena check-in,
   /// outside the engine lock — so the hook may call back into the engine
@@ -138,14 +114,9 @@ class ReplayEngine {
  private:
   class Arena;
   struct Baseline;
-  struct WritePlan;
 
   Arena* acquire(const compiler::Loadable& loadable);
   void release(Arena* arena);
-  /// The cached surface-aware reset plan for `ops` (recomputed when the
-  /// schedule identity changes — in practice one schedule per engine).
-  std::shared_ptr<const WritePlan> plan_for(
-      std::span<const nvdla::ReplayOp> ops);
 
   nvdla::NvdlaConfig config_;
   mutable Mutex mutex_;
@@ -156,20 +127,13 @@ class ReplayEngine {
   /// Post-preload page images shared by every arena (null while none is
   /// built).
   std::shared_ptr<const Baseline> baseline_ GUARDED_BY(mutex_);
-  /// ops identity of plan_.
-  const nvdla::ReplayOp* plan_key_ GUARDED_BY(mutex_) = nullptr;
-  std::size_t plan_ops_ GUARDED_BY(mutex_) = 0;
-  std::shared_ptr<const WritePlan> plan_ GUARDED_BY(mutex_);
   /// Post-check-in hook (see set_checkin_hook). shared_ptr so release()
   /// can copy it under the lock and invoke it after unlocking.
   std::shared_ptr<const std::function<void()>> checkin_hook_
       GUARDED_BY(mutex_);
   std::atomic<std::uint32_t> arenas_built_{0};
-  std::atomic<std::uint32_t> arenas_released_{0};
   std::atomic<std::uint64_t> images_replayed_{0};
   std::atomic<std::uint64_t> pages_restored_{0};
-  std::atomic<std::uint32_t> resident_pages_{0};
-  std::atomic<std::uint32_t> unsafe_plans_{0};
 };
 
 }  // namespace nvsoc::vp

@@ -1,6 +1,6 @@
-// Functional replay engine: bit-exactness of replayed outputs and cycle
-// counts against full cycle-accurate simulation on all four backends, the
-// `?mode=replay` SoC variants, replay-schedule sharing across pooled
+// Functional replay engine: the arena reset between images, bit-exactness
+// of replayed outputs and cycle counts against full cycle-accurate
+// simulation on all four backends, the `?mode=replay` SoC variants, replay-schedule sharing across pooled
 // workers, the schedule's packed conv weights, concurrent replays on one
 // shared surface, StageCounters::replay accounting, and the memory-sizing
 // spec vocabulary.
@@ -13,9 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "models/models.hpp"
 #include "runtime/backends.hpp"
 #include "runtime/inference_session.hpp"
+#include "vp/replay_engine.hpp"
 #include "vp/virtual_platform.hpp"
 
 namespace nvsoc {
@@ -49,19 +51,25 @@ StatusOr<runtime::ExecutionResult> traced_oracle(compiler::Network (*build)(),
 }
 
 // ---------------------------------------------------------------------------
-// Surface-aware arena reset
+// Arena reset
 // ---------------------------------------------------------------------------
 
-/// The reset planner proves, from the recorded op descriptors, which pages
-/// the schedule fully rewrites before reading (resident pages) and skips
-/// restoring them — while outputs stay bit-exact against full simulation,
-/// including on later rounds where the skipped pages actually hold the
-/// previous image's data.
-TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
+/// Every reset restores exactly the pages the previous replay dirtied: on
+/// one arena the schedule writes the same pages for every image, so every
+/// replay after the first (which starts on a fresh arena) restores the same
+/// non-zero page count — while outputs stay bit-exact against full
+/// simulation on both rounds.
+TEST(ArenaReset, RestoresEveryDirtiedPageBitExactly) {
   const auto images = synthetic_batch(models::lenet5(), 3, 4300);
   InferenceSession session(models::lenet5());
+  const std::shared_ptr<const core::ReplaySchedule> schedule =
+      session.prepare(images[0]).replay;
+  const vp::ReplayEngine& engine = schedule->engine(session.config().nvdla);
+  std::vector<std::uint64_t> restored_per_replay;
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < images.size(); ++i) {
+      const std::uint64_t restored_before = engine.pages_restored();
+      const std::uint64_t replayed_before = engine.images_replayed();
       const auto replayed = session.run("vp", images[i]);
       ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
       const vp::VpRunResult simulated =
@@ -69,24 +77,72 @@ TEST(SurfaceAwareReset, ResidentPagesSkipRestoreBitExactly) {
               .run(session.loadable(), images[i]);
       EXPECT_EQ(replayed->output, simulated.output)
           << "round " << round << " image " << i;
+      if (engine.images_replayed() != replayed_before) {
+        restored_per_replay.push_back(engine.pages_restored() -
+                                      restored_before);
+      }
     }
   }
 
-  const auto& schedule = session.prepare(images[0]).replay_schedule();
-  const auto& engine = schedule.engine(session.config().nvdla);
-  // A compiled network's ops chain forward: the read-before-write audit
-  // must pass, and the intermediate/output surfaces span whole pages.
-  EXPECT_EQ(engine.unsafe_plans(), 0u);
-  EXPECT_GT(engine.resident_pages(), 0u);
   // Image 0 is the traced image: every request for it, in either round,
-  // is served from the trace; the other four (round, image) pairs replay.
+  // is served from the trace; the other four (round, image) pairs replay,
+  // all on one arena.
   EXPECT_EQ(engine.images_replayed(), 4u);
-  // The skipped restores are real savings: a surface-blind reset would
-  // have restored every resident page on every replayed image on top of
-  // what was actually restored.
-  EXPECT_LT(engine.pages_restored(),
-            engine.images_replayed() *
-                static_cast<std::uint64_t>(engine.resident_pages()));
+  EXPECT_EQ(engine.arenas_built(), 1u);
+  ASSERT_EQ(restored_per_replay.size(), 4u);
+  EXPECT_EQ(restored_per_replay[0], 0u) << "a fresh arena has nothing dirty";
+  EXPECT_GT(restored_per_replay[1], 0u);
+  for (std::size_t r = 2; r < restored_per_replay.size(); ++r) {
+    EXPECT_EQ(restored_per_replay[r], restored_per_replay[1]) << "replay " << r;
+  }
+}
+
+/// The reset's real job: a replay whose weight page a fault flipped fails
+/// with kDataLoss and checks its corrupted arena back in; the next replay on
+/// that same arena must see the post-preload weights again — bit-exact with
+/// the virtual platform's run of its image, and past the checkout integrity
+/// gate of a flip-armed injector that does not fire.
+TEST(ArenaReset, CleanReplayAfterAWeightFlipIsBitExact) {
+  const auto images = synthetic_batch(models::lenet5(), 3, 4500);
+  InferenceSession session(models::lenet5());
+  const std::shared_ptr<const core::ReplaySchedule> schedule =
+      session.prepare(images[0]).replay;
+  const std::vector<nvdla::ReplayOp>& ops = schedule->ops;
+  const compiler::Loadable& loadable = session.loadable();
+  const nvdla::NvdlaConfig& config = session.config().nvdla;
+  vp::ReplayEngine engine(config);
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto flip = fault::Plan::parse("flip:1+seed:" + std::to_string(seed));
+    ASSERT_TRUE(flip.is_ok()) << flip.status().to_string();
+    fault::Injector flipping(*flip);
+    try {
+      (void)engine.run(loadable, ops, images[1], &flipping);
+      FAIL() << "seed " << seed << ": a flipped weight served an answer";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kDataLoss) << "seed " << seed;
+    }
+    EXPECT_EQ(flipping.injected(fault::Kind::kWeightFlip), 1u);
+
+    const vp::VpRunResult simulated =
+        vp::VirtualPlatform(config).run(loadable, images[2]);
+    EXPECT_EQ(engine.run(loadable, ops, images[2]), simulated.output)
+        << "seed " << seed;
+
+    // Armed, but at a rate that never fires: the integrity gate compares
+    // the arena's weight region against the blob before replaying.
+    fault::Plan armed;
+    armed.at(fault::Kind::kWeightFlip) = 1e-300;
+    fault::Injector gate(armed);
+    std::vector<float> gated;
+    ASSERT_NO_THROW(gated = engine.run(loadable, ops, images[1], &gate))
+        << "seed " << seed << ": the flipped weight page was not restored";
+    EXPECT_EQ(gated,
+              vp::VirtualPlatform(config).run(loadable, images[1]).output)
+        << "seed " << seed;
+    EXPECT_EQ(gate.injected(fault::Kind::kWeightFlip), 0u);
+  }
+  EXPECT_EQ(engine.arenas_built(), 1u);
 }
 
 /// Staging a schedule packs every int8 conv op's weights once, from the
