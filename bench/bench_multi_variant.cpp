@@ -195,8 +195,8 @@ int main() {
       budgeted.counters().evictions;
 
   // The first model's next request re-stages it transparently; the one
-  // after adopts the fresh schedule and the budget evicts the now-cold
-  // second model in turn.
+  // after serves from the fresh schedule and the budget evicts the
+  // now-cold second model in turn.
   const auto restaged = budgeted.submit("soc", lenet_image).get();
   const auto settled = budgeted.submit("soc", lenet_image).get();
   if (!restaged.is_ok() || !settled.is_ok()) {

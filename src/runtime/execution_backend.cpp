@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <initializer_list>
 #include <utility>
 
 #include "common/strfmt.hpp"
@@ -19,6 +20,59 @@ std::string lowered(std::string text) {
     return static_cast<char>(std::tolower(c));
   });
   return text;
+}
+
+/// An on/off spec option: on|true|1 or off|false|0, in any case.
+StatusOr<bool> parse_switch(const BackendSpec& spec, const std::string& key,
+                            const std::string& value) {
+  const std::string v = lowered(value);
+  if (v == "on" || v == "true" || v == "1") return true;
+  if (v == "off" || v == "false" || v == "0") return false;
+  return Status(StatusCode::kInvalidArgument,
+                strfmt("backend spec '{}': {} must be 'on' or 'off', got '{}'",
+                       spec.full, key, value));
+}
+
+/// A unit suffix and the factor it scales its number by.
+struct Unit {
+  const char* suffix;
+  double scale;
+};
+
+/// The `<number><unit>` scan shared by parse_clock and parse_mem_size:
+/// the scaled value of `token`, whose unit must be one of `units` (in any
+/// case). `kind` names the quantity in the error messages ("bad clock ...").
+StatusOr<double> parse_quantity(const std::string& token, const char* kind,
+                                std::initializer_list<Unit> units) {
+  const std::string t = lowered(token);
+  std::size_t digits = 0;
+  std::size_t dots = 0;
+  while (digits < t.size() &&
+         (std::isdigit(static_cast<unsigned char>(t[digits])) != 0 ||
+          t[digits] == '.')) {
+    if (t[digits] == '.') ++dots;
+    ++digits;
+  }
+  const std::string number = t.substr(0, digits);
+  const std::string unit = t.substr(digits);
+  if (dots > 1) {
+    // strtod would silently truncate "1.2.3" to 1.2; reject instead.
+    return Status(StatusCode::kInvalidArgument,
+                  strfmt("bad {} '{}': malformed number", kind, token));
+  }
+  double scale = 0.0;
+  std::string suffixes;
+  for (const Unit& u : units) {
+    if (unit == u.suffix) scale = u.scale;
+    if (!suffixes.empty()) suffixes += '|';
+    suffixes += u.suffix;
+  }
+  if (number.empty() || scale == 0.0) {
+    return Status(StatusCode::kInvalidArgument,
+                  strfmt("bad {} '{}': expected <number><{}>", kind, token,
+                         suffixes));
+  }
+  return std::strtod(number.c_str(), nullptr) * scale;
 }
 
 /// The generic RunOptions adjustments a spec can ask for.
@@ -55,46 +109,19 @@ StatusOr<FlowOverrides> overrides_from_spec(const BackendSpec& spec,
                              "'polling' or 'wfi', got '{}'",
                              spec.full, value));
       }
-    } else if (key == "validate") {
-      const std::string v = lowered(value);
-      if (v == "on" || v == "true" || v == "1") {
-        overrides.validate = true;
-      } else if (v == "off" || v == "false" || v == "0") {
-        overrides.validate = false;
-      } else {
-        return Status(StatusCode::kInvalidArgument,
-                      strfmt("backend spec '{}': validate must be "
-                             "'on' or 'off', got '{}'",
-                             spec.full, value));
-      }
-    } else if (key == "dram") {
+    } else if (key == "validate" || key == "decode_cache") {
+      const auto on = parse_switch(spec, key, value);
+      if (!on.is_ok()) return on.status();
+      (key == "validate" ? overrides.validate : overrides.decode_cache) = *on;
+    } else if (key == "dram" || key == "program_memory") {
       const auto bytes = parse_mem_size(value);
       if (!bytes.is_ok()) {
         return Status(StatusCode::kInvalidArgument,
                       strfmt("backend spec '{}': {}", spec.full,
                              bytes.status().message()));
       }
-      overrides.dram_bytes = *bytes;
-    } else if (key == "program_memory") {
-      const auto bytes = parse_mem_size(value);
-      if (!bytes.is_ok()) {
-        return Status(StatusCode::kInvalidArgument,
-                      strfmt("backend spec '{}': {}", spec.full,
-                             bytes.status().message()));
-      }
-      overrides.program_memory_bytes = *bytes;
-    } else if (key == "decode_cache") {
-      const std::string v = lowered(value);
-      if (v == "on" || v == "true" || v == "1") {
-        overrides.decode_cache = true;
-      } else if (v == "off" || v == "false" || v == "0") {
-        overrides.decode_cache = false;
-      } else {
-        return Status(StatusCode::kInvalidArgument,
-                      strfmt("backend spec '{}': decode_cache must be "
-                             "'on' or 'off', got '{}'",
-                             spec.full, value));
-      }
+      (key == "dram" ? overrides.dram_bytes : overrides.program_memory_bytes) =
+          *bytes;
     } else if (key == "fault") {
       auto plan = fault::Plan::parse(value);
       if (!plan.is_ok()) {
@@ -251,78 +278,34 @@ std::string BackendSpec::canonical() const {
 }
 
 StatusOr<Hertz> parse_clock(const std::string& token) {
-  const std::string t = lowered(token);
-  std::size_t digits = 0;
-  std::size_t dots = 0;
-  while (digits < t.size() &&
-         (std::isdigit(static_cast<unsigned char>(t[digits])) != 0 ||
-          t[digits] == '.')) {
-    if (t[digits] == '.') ++dots;
-    ++digits;
-  }
-  const std::string number = t.substr(0, digits);
-  const std::string unit = t.substr(digits);
-  if (dots > 1) {
-    // strtod would silently truncate "1.2.3" to 1.2; reject instead.
-    return Status(StatusCode::kInvalidArgument,
-                  strfmt("bad clock '{}': malformed number", token));
-  }
-  double scale = 0.0;
-  if (unit == "hz") scale = 1.0;
-  else if (unit == "khz") scale = 1e3;
-  else if (unit == "mhz") scale = 1e6;
-  else if (unit == "ghz") scale = 1e9;
-  if (number.empty() || scale == 0.0) {
-    return Status(StatusCode::kInvalidArgument,
-                  strfmt("bad clock '{}': expected <number><hz|khz|mhz|ghz>",
-                         token));
-  }
-  const double value = std::strtod(number.c_str(), nullptr) * scale;
-  if (value < 1.0) {
+  const auto value = parse_quantity(
+      token, "clock", {{"hz", 1.0}, {"khz", 1e3}, {"mhz", 1e6}, {"ghz", 1e9}});
+  if (!value.is_ok()) return value.status();
+  if (*value < 1.0) {
     return Status(StatusCode::kInvalidArgument,
                   strfmt("bad clock '{}': below 1 Hz", token));
   }
-  return static_cast<Hertz>(value);
+  return static_cast<Hertz>(*value);
 }
 
 StatusOr<std::uint64_t> parse_mem_size(const std::string& token) {
-  const std::string t = lowered(token);
-  std::size_t digits = 0;
-  std::size_t dots = 0;
-  while (digits < t.size() &&
-         (std::isdigit(static_cast<unsigned char>(t[digits])) != 0 ||
-          t[digits] == '.')) {
-    if (t[digits] == '.') ++dots;
-    ++digits;
-  }
-  const std::string number = t.substr(0, digits);
-  const std::string unit = t.substr(digits);
-  if (dots > 1) {
-    return Status(StatusCode::kInvalidArgument,
-                  strfmt("bad size '{}': malformed number", token));
-  }
-  double scale = 0.0;
-  if (unit == "b") scale = 1.0;
-  else if (unit == "kib") scale = 1024.0;
-  else if (unit == "mib") scale = 1024.0 * 1024.0;
-  else if (unit == "gib") scale = 1024.0 * 1024.0 * 1024.0;
-  if (number.empty() || scale == 0.0) {
-    return Status(StatusCode::kInvalidArgument,
-                  strfmt("bad size '{}': expected <number><b|kib|mib|gib>",
-                         token));
-  }
-  const double value = std::strtod(number.c_str(), nullptr) * scale;
-  if (value < 1.0) {
+  const auto value = parse_quantity(token, "size",
+                                    {{"b", 1.0},
+                                     {"kib", 1024.0},
+                                     {"mib", 1024.0 * 1024.0},
+                                     {"gib", 1024.0 * 1024.0 * 1024.0}});
+  if (!value.is_ok()) return value.status();
+  if (*value < 1.0) {
     return Status(StatusCode::kInvalidArgument,
                   strfmt("bad size '{}': below 1 byte", token));
   }
   // Bound before the cast: double -> uint64 is UB past 2^64, and nothing
   // in the simulator wants an exbibyte window anyway.
-  if (value > static_cast<double>(1ull << 60)) {
+  if (*value > static_cast<double>(1ull << 60)) {
     return Status(StatusCode::kInvalidArgument,
                   strfmt("bad size '{}': larger than 1 EiB", token));
   }
-  return static_cast<std::uint64_t>(value);
+  return static_cast<std::uint64_t>(*value);
 }
 
 std::string spec_vocabulary_help() {

@@ -405,10 +405,18 @@ InferenceSession::build_frontend(
   return frontend;
 }
 
-void InferenceSession::ensure_frontend(ModelState& model) {
+const core::FrontendArtifacts& InferenceSession::ensure_frontend(
+    ModelState& model) {
   drain_staging(model);  // a pooled staging task may be building it right now
-  if (model.prepared.has_frontend()) return;
-  model.prepared.frontend = build_frontend(model, default_input_for(model));
+  {
+    MutexLock lock(submit_mutex_);
+    if (model.staged.has_frontend()) return *model.staged.frontend;
+  }
+  auto frontend = build_frontend(model, default_input_for(model));
+  MutexLock lock(submit_mutex_);
+  // A staging started meanwhile may have installed its own; keep the first.
+  if (!model.staged.has_frontend()) model.staged.frontend = std::move(frontend);
+  return *model.staged.frontend;
 }
 
 void InferenceSession::repack_into(const ModelState& model,
@@ -425,8 +433,8 @@ void InferenceSession::repack_into(const ModelState& model,
   }
   prepared.input.assign(image.begin(), image.end());
   // The FP32 golden output is a validation artifact, not an inference
-  // dependency: the serving paths leave it empty and prepare()/prepared()
-  // recompute it on demand (ensure_reference).
+  // dependency: the serving paths leave it empty and prepare() computes it
+  // for its own snapshot.
   prepared.reference_output.clear();
   // The shared trace core — weight-file preload image included — stays
   // untouched: the new image lives only on this per-input surface. The
@@ -434,17 +442,6 @@ void InferenceSession::repack_into(const ModelState& model,
   // surface themselves; preload_weight_file() materializes a patched copy
   // for data-product exports.
   prepared.vp_matches_input = false;
-}
-
-void InferenceSession::ensure_reference(ModelState& model) {
-  // The reference executor borrows the frozen weights; the frontend core is
-  // built once per model, so the reference stays valid for its lifetime.
-  if (!model.reference.has_value()) {
-    model.reference.emplace(model.network, model.prepared.frontend->weights);
-  }
-  if (!model.prepared.reference_output.empty()) return;
-  model.prepared.reference_output =
-      model.reference->run_to(model.prepared.input);
 }
 
 void InferenceSession::stage_tail_into(const ModelState& model,
@@ -460,8 +457,7 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   const bool had_trace = prepared.has_tail();
 
   prepared.input.assign(image.begin(), image.end());
-  // The FP32 reference is lazy on this path too (see ensure_reference);
-  // clear any previous image's tensor so a later prepare() recomputes it.
+  // The FP32 reference is lazy on this path too (see repack_into).
   prepared.reference_output.clear();
 
   auto tail = std::make_shared<core::TraceArtifacts>();
@@ -528,9 +524,9 @@ void InferenceSession::start_staging_locked(ModelState& model,
   // The task owns a private snapshot (sharing whatever immutable cores are
   // already staged) plus copies of the inputs it needs; it reads only the
   // model's immutable identity (network, config) beyond the atomic
-  // counters, and publishes through the latch — the promise/future edge
-  // sequences every later read of `staged`.
-  core::PreparedModel base = model.prepared;
+  // counters until it installs its result under the lock. The
+  // promise/future edge sequences every waiter's read of `staged`.
+  core::PreparedModel base = model.staged;
   std::vector<float> calibration_image;
   if (!base.has_frontend()) calibration_image = default_input_locked(model);
   // The staging trace itself always runs fault-free (clean artifacts are
@@ -546,83 +542,66 @@ void InferenceSession::start_staging_locked(ModelState& model,
        image = std::vector<float>(image.begin(), image.end()),
        calibration_image = std::move(calibration_image),
        injector = std::move(injector)]() mutable {
-        if (injector != nullptr && injector->fire(fault::Kind::kStagingFail)) {
-          ++robust_.staging_faults;
-          latch->promise.set_value(
-              Status(StatusCode::kUnavailable, "injected staging-task failure"));
-          note_staging_done();
-          return;
-        }
-        try {
-          if (!base.has_frontend()) {
-            base.frontend = build_frontend(*state, calibration_image);
+        const Status status = [&]() -> Status {
+          if (injector != nullptr &&
+              injector->fire(fault::Kind::kStagingFail)) {
+            return Status(StatusCode::kUnavailable,
+                          "injected staging-task failure");
           }
-          stage_tail_into(*state, base, image, /*record_replay=*/true);
-          // Hook the fresh schedule before the latch publishes it: tasks
-          // queued behind the latch replay against it before adoption.
-          if (base.replay != nullptr) {
+          try {
+            if (!base.has_frontend()) {
+              base.frontend = build_frontend(*state, calibration_image);
+            }
+            stage_tail_into(*state, base, image, /*record_replay=*/true);
             install_checkin_hook(*base.replay, *state);
+            latch->staged = std::move(base);
+            return Status::ok();
+          } catch (const StatusError& e) {
+            return e.status();
+          } catch (const std::exception& e) {
+            return Status(StatusCode::kInvalidArgument, e.what());
+          } catch (...) {
+            // The latch promise is the only completion channel (the task's
+            // own future is discarded): it must be fulfilled for *any*
+            // exception, or every queued arrival would block forever.
+            return Status(StatusCode::kInternal,
+                          "staging task failed with a non-standard exception");
           }
-          latch->staged = std::move(base);
-          latch->promise.set_value(Status::ok());
-        } catch (const StatusError& e) {
-          ++robust_.staging_faults;
-          latch->promise.set_value(e.status());
-        } catch (const std::exception& e) {
-          ++robust_.staging_faults;
-          latch->promise.set_value(
-              Status(StatusCode::kInvalidArgument, e.what()));
-        } catch (...) {
-          ++robust_.staging_faults;
-          // The latch promise is the only completion channel (the task's
-          // own future is discarded): it must be fulfilled for *any*
-          // exception, or every queued arrival would block forever.
-          latch->promise.set_value(
-              Status(StatusCode::kInternal,
-                     "staging task failed with a non-standard exception"));
+        }();
+        if (!status.is_ok()) ++robust_.staging_faults;
+        {
+          // Install before fulfilling the latch, so every waiter wakes to a
+          // staged model. A latch a quarantine detached is never installed.
+          MutexLock lock(submit_mutex_);
+          if (state->staging == latch) {
+            if (status.is_ok()) {
+              // An installed frontend is kept: weights()/loadable() handed
+              // out references into it.
+              auto frontend = std::move(state->staged.frontend);
+              state->staged = latch->staged;
+              if (frontend != nullptr) {
+                state->staged.frontend = std::move(frontend);
+              }
+            }
+            state->staging.reset();
+          }
         }
+        latch->promise.set_value(status);
         note_staging_done();
       });
   model.staging = latch;
 }
 
-void InferenceSession::try_adopt_staging_locked(ModelState& model) {
-  if (ready_staging_locked(model) == nullptr) return;
-  const Status status = model.staging->done.get();
-  if (status.is_ok()) {
-    auto outgoing_schedule = model.prepared.replay;
-    // Copy, don't move: tasks already queued behind the latch still read
-    // its `staged` model.
-    model.prepared = model.staging->staged;
-    if (outgoing_schedule != nullptr &&
-        outgoing_schedule != model.prepared.replay) {
-      model.replay_base += outgoing_schedule->replay_count();
-    }
-  }
-  // A failed staging is simply dropped: the next submit (or prepare())
-  // retries from the pre-staging state.
-  model.staging.reset();
-  if (const auto* schedule = live_schedule_locked(model)) {
-    install_checkin_hook(*schedule, model);
-  }
-}
-
-void InferenceSession::try_adopt_all_locked() {
-  for (auto& [name, state] : models_) try_adopt_staging_locked(*state);
-}
-
 void InferenceSession::drain_staging(ModelState& model) {
   MutexLock lock(submit_mutex_);
   while (model.staging != nullptr) {
-    auto latch = model.staging;
     // Wait on a private future copy (taken under the lock): every other
     // accessor of the latch's shared_future does the same, so no two
     // threads ever wait through one shared_future object.
-    std::shared_future<Status> done = latch->done;
+    std::shared_future<Status> done = model.staging->done;
     lock.unlock();
     done.wait();
     lock.lock();
-    if (model.staging == latch) try_adopt_staging_locked(model);
   }
 }
 
@@ -630,38 +609,13 @@ void InferenceSession::drain_staging(ModelState& model) {
 // Byte-budgeted replay residency
 // ---------------------------------------------------------------------------
 
-const core::PreparedModel* InferenceSession::ready_staging_locked(
-    const ModelState& model) const {
-  if (model.staging == nullptr ||
-      model.staging->done.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    return nullptr;
-  }
-  return &model.staging->staged;
-}
-
-const core::ReplaySchedule* InferenceSession::live_schedule_locked(
-    const ModelState& model) const {
-  if (model.prepared.replay != nullptr) return model.prepared.replay.get();
-  // Staged but not yet adopted: the latch's schedule is the live one.
-  const core::PreparedModel* staged = ready_staging_locked(model);
-  return staged != nullptr ? staged->replay.get() : nullptr;
-}
-
-const core::PlatformEnvelopes* InferenceSession::live_envelopes_locked(
-    const ModelState& model) const {
-  if (model.prepared.has_tail()) return &model.prepared.envelopes();
-  const core::PreparedModel* staged = ready_staging_locked(model);
-  return staged != nullptr && staged->has_tail() ? &staged->envelopes()
-                                                 : nullptr;
-}
-
 std::uint64_t InferenceSession::model_resident_bytes_locked(
     const ModelState& model) const {
-  const core::PlatformEnvelopes* envelopes = live_envelopes_locked(model);
-  std::uint64_t bytes = envelopes != nullptr ? envelopes->bytes() : 0;
-  if (const core::ReplaySchedule* schedule = live_schedule_locked(model)) {
-    bytes += schedule->schedule_bytes() + schedule->resident_arena_bytes();
+  const core::PreparedModel& staged = model.staged;
+  std::uint64_t bytes = staged.has_tail() ? staged.envelopes().bytes() : 0;
+  if (staged.has_replay()) {
+    bytes += staged.replay->schedule_bytes() +
+             staged.replay->resident_arena_bytes();
   }
   return bytes;
 }
@@ -673,13 +627,13 @@ void InferenceSession::note_use_locked(ModelState& model,
 }
 
 bool InferenceSession::staged_locked(const ModelState& model) const {
-  return model.prepared.has_tail() && model.prepared.replay != nullptr;
+  return model.staged.has_tail() && model.staged.has_replay();
 }
 
 void InferenceSession::evict_schedule_locked(ModelState& model) {
-  if (model.prepared.replay == nullptr) return;
-  model.replay_base += model.prepared.replay->replay_count();
-  model.prepared.replay.reset();
+  if (!model.staged.has_replay()) return;
+  model.replay_base += model.staged.replay->replay_count();
+  model.staged.replay.reset();
   // The next use re-stages transparently: one re-trace that rebuilds the
   // schedule, then back to replaying. The kept trace core supplies the
   // config file, program and SoC envelopes (the CSB stream matches).
@@ -692,12 +646,12 @@ void InferenceSession::evict_schedule_locked(ModelState& model) {
 void InferenceSession::quarantine_locked(ModelState& model) {
   // Counted when it drops something: tasks failing on an already
   // quarantined core find nothing left to drop.
-  if (model.prepared.replay != nullptr || model.prepared.has_tail() ||
+  if (model.staged.has_replay() || model.staged.has_tail() ||
       model.staging != nullptr) {
     ++robust_.quarantines;
   }
   evict_schedule_locked(model);
-  model.prepared.tail.reset();
+  model.staged.tail.reset();
   model.staging.reset();
 }
 
@@ -716,8 +670,7 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
   // first.
   std::vector<ModelState*> cold;
   for (auto& [name, state] : models_) {
-    if (state.get() == just_used) continue;
-    if (live_schedule_locked(*state) == nullptr) continue;
+    if (state.get() == just_used || !state->staged.has_replay()) continue;
     cold.push_back(state.get());
   }
   std::sort(cold.begin(), cold.end(),
@@ -728,25 +681,22 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
   // Pass 1: drop cold models' arenas — a pure cache (cheap to shed, rebuilt
   // by the next replay), so it always goes before any schedule.
   for (ModelState* model : cold) {
-    const core::ReplaySchedule* schedule = live_schedule_locked(*model);
-    if (schedule != nullptr) schedule->release_arenas();
+    model->staged.replay->release_arenas();
     if (total() <= replay_budget_bytes_) return;
   }
 
-  // Pass 2: evict cold schedules outright (LRU order). A model whose
-  // staging is still in flight is skipped — its schedule is about to be
-  // adopted and used.
+  // Pass 2: evict cold schedules outright (LRU order). No cold model has a
+  // staging in flight: a latch is only ever set on a model without a
+  // schedule (see ModelState::staging).
   for (ModelState* model : cold) {
-    if (model->staging != nullptr) continue;
     evict_schedule_locked(*model);
     if (total() <= replay_budget_bytes_) return;
   }
 
   // Pass 3: the hot model sheds its own idle arenas; its schedule is never
   // evicted (it is in use right now — dropping it would thrash).
-  if (just_used != nullptr) {
-    const core::ReplaySchedule* schedule = live_schedule_locked(*just_used);
-    if (schedule != nullptr) schedule->release_arenas();
+  if (just_used != nullptr && just_used->staged.has_replay()) {
+    just_used->staged.replay->release_arenas();
   }
 }
 
@@ -768,11 +718,9 @@ void InferenceSession::install_checkin_hook(
 
 void InferenceSession::on_replay_checkin(ModelState& model) {
   MutexLock lock(submit_mutex_);
-  // Adopt first so a freshly staged schedule counts against the budget it
-  // is about to share. The checking-in model is the hot one: the walk
-  // sheds cold models first and at most drops this model's idle arenas —
-  // including the one this check-in just returned — never its schedule.
-  try_adopt_all_locked();
+  // The checking-in model is the hot one: the walk sheds cold models first
+  // and at most drops this model's idle arenas — including the one this
+  // check-in just returned — never its schedule.
   enforce_budget_locked(&model);
 }
 
@@ -781,14 +729,9 @@ void InferenceSession::set_replay_budget_bytes(std::uint64_t budget_bytes) {
   replay_budget_bytes_ = budget_bytes;
   checkin_state_->budget.store(budget_bytes, std::memory_order_relaxed);
   // Enforce immediately so a freshly lowered budget takes effect without
-  // waiting for the next request, and (re)attach the check-in hooks —
-  // schedules staged before any budget existed get theirs here.
-  try_adopt_all_locked();
-  for (auto& [name, state] : models_) {
-    if (const auto* schedule = live_schedule_locked(*state)) {
-      install_checkin_hook(*schedule, *state);
-    }
-  }
+  // waiting for the next request. Every schedule already carries its
+  // check-in hook (the staging task installs it), idle while no budget is
+  // set.
   enforce_budget_locked(nullptr);
 }
 
@@ -822,7 +765,7 @@ StageCounters InferenceSession::counters() const {
 
   MutexLock lock(submit_mutex_);
   for (const auto& [name, state] : models_) {
-    const core::ReplaySchedule* schedule = live_schedule_locked(*state);
+    const auto& schedule = state->staged.replay;
     snapshot.replay += state->replay_base.load(std::memory_order_relaxed) +
                        (schedule != nullptr ? schedule->replay_count() : 0);
   }
@@ -844,7 +787,7 @@ std::vector<VariantStats> InferenceSession::variant_stats() const {
     row.evictions = variant.evictions;
     const auto it = models_.find(variant.model);
     if (it != models_.end()) {
-      row.staged = live_schedule_locked(*it->second) != nullptr;
+      row.staged = it->second->staged.has_replay();
       row.resident_bytes = model_resident_bytes_locked(*it->second);
     }
     stats.push_back(std::move(row));
@@ -857,52 +800,52 @@ std::vector<VariantStats> InferenceSession::variant_stats() const {
 // ---------------------------------------------------------------------------
 
 const compiler::NetWeights& InferenceSession::weights() {
-  ensure_frontend(*default_model_);
-  return default_model_->prepared.frontend->weights;
+  return ensure_frontend(*default_model_).weights;
 }
 
 const compiler::CalibrationTable& InferenceSession::calibration() {
-  ensure_frontend(*default_model_);
-  return default_model_->prepared.frontend->calibration;
+  return ensure_frontend(*default_model_).calibration;
 }
 
 const compiler::Loadable& InferenceSession::loadable() {
-  ensure_frontend(*default_model_);
-  return default_model_->prepared.frontend->loadable;
+  return ensure_frontend(*default_model_).loadable;
 }
 
-const core::PreparedModel& InferenceSession::prepared() {
+core::PreparedModel InferenceSession::prepared() {
   return prepare_in(*default_model_, default_input());
 }
 
-const core::PreparedModel& InferenceSession::prepare(
-    std::span<const float> image) {
+core::PreparedModel InferenceSession::prepare(std::span<const float> image) {
   return prepare_in(*default_model_, image);
 }
 
-const core::PreparedModel& InferenceSession::prepare_in(
+core::PreparedModel InferenceSession::prepare_in(
     ModelState& model, std::span<const float> image) {
   if (Status s = check_image_shape(model, image); !s.is_ok()) {
     throw StatusError(std::move(s));
   }
   // Stage through the latch submit() uses, so the trace runs on a pool
-  // worker, then adopt it on the next pass. The loop re-checks because a
-  // quarantine may detach the latch before it is adopted.
+  // worker. The loop re-checks because a quarantine may detach the latch
+  // before it installs its result.
+  core::PreparedModel snapshot;
   for (;;) {
     std::shared_future<Status> staging;
     {
       MutexLock lock(submit_mutex_);
-      try_adopt_staging_locked(model);
       if (staged_locked(model)) {
-        repack_into(model, model.prepared, image);
-        ensure_reference(model);
-        return model.prepared;
+        snapshot = model.staged;
+        break;
       }
       if (model.staging == nullptr) start_staging_locked(model, image);
       staging = model.staging->done;
     }
     if (const Status& s = staging.get(); !s.is_ok()) throw StatusError(s);
   }
+  repack_into(model, snapshot, image);
+  snapshot.reference_output =
+      compiler::ReferenceExecutor(model.network, snapshot.weights())
+          .run_to(snapshot.input);
+  return snapshot;
 }
 
 // ---------------------------------------------------------------------------
@@ -928,8 +871,7 @@ Status InferenceSession::probe_golden(const std::string& backend) {
     MutexLock lock(submit_mutex_);
     // Canary 1: the staged schedule's ops checksum. A mismatch means the
     // shared in-memory schedule was silently corrupted since recording.
-    if (model.prepared.replay != nullptr &&
-        !model.prepared.replay->ops_intact()) {
+    if (model.staged.has_replay() && !model.staged.replay->ops_intact()) {
       ++robust_.data_loss;
       quarantine_locked(model);
       quarantined = true;
@@ -997,9 +939,8 @@ PendingResult InferenceSession::submit(const ResolvedSpec& spec,
 InferenceSession::StagingSource InferenceSession::staging_source_locked(
     ModelState& model, std::span<const float> image) {
   StagingSource source;
-  if (staged_locked(model) && model.staging == nullptr) {
-    // staged & adopted: two refcounts + input
-    source.snapshot = model.prepared;
+  if (staged_locked(model)) {
+    source.snapshot = model.staged;  // three refcounts + input
     return source;
   }
   // First arrival — or arrivals racing the in-flight staging — queue
@@ -1047,13 +988,11 @@ PendingResult InferenceSession::submit_with(ModelState& model,
   RetryPolicy retry;
   {
     MutexLock lock(submit_mutex_);
-    try_adopt_all_locked();
     note_use_locked(model, variant);
     pool = &pool_locked(worker_hint);
     source = staging_source_locked(model, image);
     retry = retry_policy_;
-    // Enforce on use, after adoption: freshly staged schedules count, and
-    // the model serving this request is evicted last.
+    // Enforce on use: the model serving this request is evicted last.
     enforce_budget_locked(&model);
   }
 
@@ -1171,9 +1110,9 @@ Status InferenceSession::rebuild_inline(ModelState& model,
       std::vector<float> calibration_image;
       {
         MutexLock lock(submit_mutex_);
-        if (model.prepared.has_frontend()) {
-          // Reuse the session's immutable frontend core (refcount bump).
-          prepared.frontend = model.prepared.frontend;
+        if (model.staged.has_frontend()) {
+          // Reuse the model's immutable frontend core (refcount bump).
+          prepared.frontend = model.staged.frontend;
         } else {
           calibration_image = default_input_locked(model);
         }
@@ -1240,7 +1179,6 @@ StagingHandle InferenceSession::prepare_async_resolved(
     ThreadPool* pool = nullptr;
     {
       MutexLock lock(submit_mutex_);
-      try_adopt_all_locked();
       pool = &pool_locked(0);
       source = staging_source_locked(model, image);
     }
@@ -1250,7 +1188,7 @@ StagingHandle InferenceSession::prepare_async_resolved(
     try {
       auto future = pool->submit(
         [this, source = std::move(source), options, staged_backend,
-         model_state = &model, variant]() mutable -> Status {
+         variant]() mutable -> Status {
           Status outcome = [&]() -> Status {
             try {
               core::PreparedModel prepared;
@@ -1272,7 +1210,6 @@ StagingHandle InferenceSession::prepare_async_resolved(
           }();
           if (outcome.is_ok()) {
             MutexLock lock(submit_mutex_);
-            try_adopt_staging_locked(*model_state);
             ++variant->stagings;
           }
           note_staging_done();

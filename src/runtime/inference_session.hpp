@@ -24,6 +24,15 @@
 // and retry policy. "Staged" is derived from the cores, never stored: a
 // model is staged while it holds a trace core plus a live schedule.
 //
+// Staging latch: a model's first use (or its first after an eviction or a
+// quarantine) enqueues one staging task behind a latch. The task installs
+// its cores into the model under the session lock when it finishes, and
+// only then fulfils the latch, so the model is staged before any waiter
+// wakes. Requests queued behind the latch read the task's result from the
+// latch itself. A quarantine detaches an in-flight latch: that task's
+// waiters still get its result, but the task never installs it. A failed
+// staging only clears the latch; the next use stages again.
+//
 // One oracle: every replay path is bit-exact with a full simulation of the
 // same image, and that simulation is the check. For the SoC platforms it
 // is the `?mode=cycle_accurate&decode_cache=off` variant; for `vp` and
@@ -39,12 +48,17 @@
 // spec) pair is a *variant* with its own request/staging/eviction tallies
 // (variant_stats()), while variants of one model share its staged cores.
 //
-// Memory model: the staged artifacts live in three immutable shared cores
+// Memory model: each model has one staged state, a core::PreparedModel
+// whose artifacts live in three immutable shared cores
 // (core::FrontendArtifacts for weights/calibration/loadable,
 // core::TraceArtifacts for trace/config file/program and the SoC
 // envelopes recorded from that program,
 // core::ReplaySchedule for the functional replay) behind shared_ptr<const>.
-// Copying a PreparedModel — what every parallel worker does — bumps
+// It is written only under the session lock: by the staging task that
+// built it, by a budget eviction (drops the schedule), by a quarantine
+// (drops the schedule and the trace core) and by the frontend accessors
+// (install the frontend core once; it is never replaced). Every reader —
+// a pooled task, prepare()/prepared() — takes a copy, which bumps
 // refcounts and copies the input-sized vectors only; the multi-MB
 // weight-file and program bytes are never duplicated.
 //
@@ -99,17 +113,16 @@
 //     contract: results in image order, all-or-nothing, failures report
 //     the lowest failing image index.
 //
-// Thread-safety: run(), run_batch_parallel(), submit(), resolve(),
-// prepare_async(), probe_golden(), register_model(), counters(),
-// variant_stats() and the budget accessors may be called concurrently with
-// each other (and with in-flight pooled work). The blocking calls — run(),
-// run_batch_parallel(), prepare()/prepared() and probe_golden() — wait on
-// pooled work, so they must never be called from a pool worker or
-// an on_ready hook: a saturated pool would deadlock. The stage accessors
-// (weights() ... prepare()) stay single-owner: they return references into
-// the session's own surface, which the next prepare() rewrites. Destroying
-// the session drains in-flight work first: every PendingResult and
-// StagingHandle already handed out still completes.
+// Thread-safety: every public method may be called concurrently with the
+// others (and with in-flight pooled work). prepare()/prepared() return
+// snapshots that no later call, eviction or quarantine rewrites;
+// weights()/calibration()/loadable() return references into the default
+// model's frontend core, which lives as long as the session. The blocking
+// calls — run(), run_batch_parallel(), prepare()/prepared(), the frontend
+// accessors and probe_golden() — wait on pooled work, so they must never
+// be called from a pool worker or an on_ready hook: a saturated pool would
+// deadlock. Destroying the session drains in-flight work first: every
+// PendingResult and StagingHandle already handed out still completes.
 //
 // Execution is delegated to a named ExecutionBackend from a
 // BackendRegistry; all runtime error paths (unknown backend, program-memory
@@ -130,7 +143,6 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "compiler/reference.hpp"
 #include "runtime/backend_registry.hpp"
 
 namespace nvsoc::runtime {
@@ -416,8 +428,7 @@ class InferenceSession {
   /// alive until those tasks finish. Thread-safe.
   void set_replay_budget_bytes(std::uint64_t budget_bytes);
   /// Current replay residency (schedule + arena + envelope bytes across
-  /// all models, ready-but-unadopted staging latches included; an evicted
-  /// model still holds its envelopes). Thread-safe.
+  /// all models; an evicted model still holds its envelopes). Thread-safe.
   std::uint64_t replay_resident_bytes() const;
 
   /// The default input: a synthetic image from config.input_seed (also the
@@ -425,18 +436,21 @@ class InferenceSession {
   const std::vector<float>& default_input();
 
   // --- staged artifacts (lazy, memoized; default model) --------------------
+  /// The frontend stages, built without a trace on first use (after any
+  /// in-flight staging, which may be building them) and kept for the
+  /// session lifetime.
   const compiler::NetWeights& weights();
   const compiler::CalibrationTable& calibration();
   const compiler::Loadable& loadable();
 
-  /// All artifacts for the default input.
-  const core::PreparedModel& prepared();
-  /// All artifacts for `image`: when the model is not staged yet, it stages
-  /// through the same pooled latch submit() uses (tracing `image`) and waits
-  /// for it; then `image` is swapped onto the session's own surface and its
-  /// FP32 reference computed. Throws StatusError for a wrong-size image or a
-  /// failed staging. The reference is invalidated by the next prepare().
-  const core::PreparedModel& prepare(std::span<const float> image);
+  /// prepare() of the default input.
+  core::PreparedModel prepared();
+  /// A snapshot of the model's staged cores for `image`: when the model is
+  /// not staged yet, it stages through the same pooled latch submit() uses
+  /// (tracing `image`) and waits for it; then `image` is swapped onto the
+  /// snapshot and its FP32 reference computed. Throws StatusError for a
+  /// wrong-size image or a failed staging.
+  core::PreparedModel prepare(std::span<const float> image);
 
   // --- spec resolution -----------------------------------------------------
   /// Parse `spec`, strip its `?model=` key (routing to that registered
@@ -547,10 +561,10 @@ class InferenceSession {
   Status probe_golden(const std::string& backend);
 
  private:
-  /// The async-staging latch: the staging task publishes the staged
-  /// artifacts here and flips the future; queued arrivals (and the
-  /// adopting session) read `staged` only after `done` is ready, which
-  /// sequences the accesses.
+  /// The async-staging latch (see the class comment): the staging task
+  /// records its result in `staged` and installs it into the model before
+  /// fulfilling `promise`; arrivals queued behind the latch read `staged`
+  /// only after `done` is ready, which sequences the accesses.
   struct StagingLatch {
     std::promise<Status> promise;
     std::shared_future<Status> done;
@@ -601,9 +615,14 @@ class InferenceSession {
     /// Golden-probe reference: the default input's output, frozen by the
     /// first probe_golden() on this model. Guarded by submit_mutex_.
     std::vector<float> golden_output;
-    std::optional<compiler::ReferenceExecutor> reference;
-    core::PreparedModel prepared;
-    std::shared_ptr<StagingLatch> staging;  ///< non-null while unadopted
+    /// The one staged state (see the class comment's memory model): the
+    /// cores plus the image they were traced on. Guarded by submit_mutex_.
+    core::PreparedModel staged;
+    /// The in-flight staging task's latch; null otherwise. While it is set
+    /// the model holds no replay schedule: staging starts only on an
+    /// unstaged model, and the task's install clears it in the same
+    /// critical section. Guarded by submit_mutex_.
+    std::shared_ptr<StagingLatch> staging;
     /// Replays accumulated on schedules since replaced or evicted
     /// (counters().replay sums base + live schedule tallies).
     std::atomic<std::uint32_t> replay_base{0};
@@ -638,7 +657,7 @@ class InferenceSession {
   /// What a pooled task builds its private model from: either the staging
   /// latch (with a per-task shared_future copy — waiting through one
   /// shared object from many threads is not sanctioned by the standard)
-  /// or a snapshot of the already-staged session model.
+  /// or a snapshot of the model's staged state.
   struct StagingSource {
     std::shared_ptr<StagingLatch> latch;  ///< non-null: staging in flight
     std::shared_future<Status> done;      ///< this task's own future copy
@@ -679,46 +698,26 @@ class InferenceSession {
   Status rebuild_inline(ModelState& model, core::PreparedModel& prepared,
                         std::span<const float> image);
   /// Enqueue `model`'s staging task (frontend if missing + one VP trace +
-  /// replay-schedule recording, all on a private model that the latch
-  /// publishes). The caller has checked that nothing is staged or staging
-  /// for this model.
+  /// replay-schedule recording, all on a private model that the task
+  /// installs into `model` when it finishes; see StagingLatch). The caller
+  /// has checked that nothing is staged or staging for this model.
   void start_staging_locked(ModelState& model, std::span<const float> image)
       REQUIRES(submit_mutex_);
-  /// Adopt a *ready* staging latch into `model` (non-blocking; no-op when
-  /// staging is absent or still running).
-  void try_adopt_staging_locked(ModelState& model) REQUIRES(submit_mutex_);
-  /// try_adopt_staging_locked across every model — the submit paths run it
-  /// so budget enforcement sees freshly staged schedules.
-  void try_adopt_all_locked() REQUIRES(submit_mutex_);
-  /// Block until `model`'s in-flight staging finishes and adopt it — the
-  /// sync point every session-thread stage accessor passes through before
-  /// touching model.prepared.
+  /// Block until `model` has no staging in flight.
   void drain_staging(ModelState& model) EXCLUDES(submit_mutex_);
   /// Record a use for LRU purposes and collect variant tallies.
   void note_use_locked(ModelState& model, VariantState* variant)
       REQUIRES(submit_mutex_);
-  /// The model's adopted cores can serve a request: a trace core plus its
+  /// The model's staged cores can serve a request: a trace core plus its
   /// replay schedule. A budget eviction (schedule dropped) or a quarantine
   /// (trace core dropped) makes the next use restage.
   bool staged_locked(const ModelState& model) const REQUIRES(submit_mutex_);
   /// prepare_async()'s body after spec resolution.
   StagingHandle prepare_async_resolved(const ResolvedSpec& spec,
                                        std::span<const float> image);
-  /// The staged model of `model`'s latch once it has finished (a failed
-  /// latch's holds no cores); null while staging runs or without a latch.
-  const core::PreparedModel* ready_staging_locked(const ModelState& model)
-      const REQUIRES(submit_mutex_);
-  /// The model's live schedule: adopted, or sitting in a ready latch.
-  const core::ReplaySchedule* live_schedule_locked(const ModelState& model)
-      const REQUIRES(submit_mutex_);
-  /// The model's live envelope set: the adopted trace core's — kept across
-  /// a budget eviction — or a ready latch's. Null before the first trace
-  /// and after a quarantine.
-  const core::PlatformEnvelopes* live_envelopes_locked(
-      const ModelState& model) const REQUIRES(submit_mutex_);
   /// Schedule + arena bytes for one model (0 without a live schedule), plus
   /// its recorded envelopes, which stay resident while the schedule is
-  /// evicted.
+  /// evicted (and go with the trace core on a quarantine).
   std::uint64_t model_resident_bytes_locked(const ModelState& model) const
       REQUIRES(submit_mutex_);
   /// LRU byte-budget enforcement (see set_replay_budget_bytes).
@@ -748,10 +747,10 @@ class InferenceSession {
   /// staging tasks included — may call it, locked or not.
   void install_checkin_hook(const core::ReplaySchedule& schedule,
                             ModelState& model);
-  /// Hook body: adopt ready stagings and re-enforce the byte budget with
-  /// `model` as the hot model. Runs on the replaying worker right after
-  /// its arena check-in, so a run's own arena growth is reclaimed at
-  /// arena return, not on the next submit.
+  /// Hook body: re-enforce the byte budget with `model` as the hot model.
+  /// Runs on the replaying worker right after its arena check-in, so a
+  /// run's own arena growth is reclaimed at arena return, not on the next
+  /// submit.
   void on_replay_checkin(ModelState& model) EXCLUDES(submit_mutex_);
   /// Budget eviction: drop `model`'s replay schedule — and with it the
   /// arenas and packed weights — (folding its replay tally), force a
@@ -763,7 +762,7 @@ class InferenceSession {
   /// drop the trace core with its envelopes, so nothing measured from the
   /// suspect state is served again; the next use restages from the
   /// frontend. A staging still in flight started from the dropped core and
-  /// would carry its envelopes back, so it is detached, never adopted
+  /// would carry its envelopes back, so it is detached and never installed
   /// (tasks already queued behind it still get its result).
   void quarantine_locked(ModelState& model) REQUIRES(submit_mutex_);
   /// Staging-concurrency accounting: bump in-flight (and the peak
@@ -777,11 +776,9 @@ class InferenceSession {
   /// model's default input (the legacy calibration image).
   std::shared_ptr<const core::FrontendArtifacts> build_frontend(
       const ModelState& model, std::span<const float> calibration_image) const;
-  void ensure_frontend(ModelState& model);  ///< weights..loadable
-  /// Fill the FP32 golden output for the model's current input if the
-  /// serving paths left it empty (it is a validation artifact, computed on
-  /// demand by prepare()/prepared(), never on the replay hot path).
-  void ensure_reference(ModelState& model) REQUIRES(submit_mutex_);
+  /// The model's frontend core, built and installed on first use.
+  const core::FrontendArtifacts& ensure_frontend(ModelState& model)
+      EXCLUDES(submit_mutex_);
   /// The model's default input, synthesized on first use — the one place
   /// it is built. Returns a reference into the pinned ModelState (never
   /// reassigned once filled, so it stays valid after the lock drops).
@@ -799,16 +796,17 @@ class InferenceSession {
   void stage_tail_into(const ModelState& model, core::PreparedModel& prepared,
                        std::span<const float> image, bool record_replay) const;
   /// Substitute `image` into `prepared`'s per-input surface without
-  /// re-running the VP: input tensor only — the FP32 reference is cleared
-  /// for lazy recomputation. Marks the shared trace as not matching the
-  /// input (backends that need the functional output replay the recorded
-  /// schedule on each run). Safe to call concurrently on distinct surfaces
-  /// — it only reads shared immutable state.
+  /// re-running the VP: input tensor only — the FP32 reference is cleared.
+  /// Marks the shared trace as not matching the input (backends that need
+  /// the functional output replay the recorded schedule on each run). Safe
+  /// to call concurrently on distinct surfaces — it only reads shared
+  /// immutable state.
   void repack_into(const ModelState& model, core::PreparedModel& prepared,
                    std::span<const float> image) const;
   /// prepare()'s body for an arbitrary model.
-  const core::PreparedModel& prepare_in(ModelState& model,
-                                        std::span<const float> image);
+  core::PreparedModel prepare_in(ModelState& model,
+                                 std::span<const float> image)
+      EXCLUDES(submit_mutex_);
 
   const BackendRegistry* registry_;
   mutable AtomicStageCounters counters_;
@@ -819,11 +817,10 @@ class InferenceSession {
       std::make_shared<std::atomic<std::uint32_t>>(0);
   mutable AtomicRobustnessCounters robust_;
 
-  /// Guards the submit/staging fast-path state (per-model latches, pool
-  /// creation, variant/LRU bookkeeping, the session surface `prepared` the
-  /// submit paths snapshot) against concurrent submit()/resolve()/
-  /// prepare_async()/counters() calls. Declared before the state it guards
-  /// so the annotations below may name it.
+  /// Guards the submit/staging fast-path state (per-model staged states and
+  /// latches, pool creation, variant/LRU bookkeeping) against concurrent
+  /// submit()/resolve()/prepare_async()/counters() calls. Declared before
+  /// the state it guards so the annotations below may name it.
   mutable Mutex submit_mutex_;
 
   /// 0 = unlimited.

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -124,6 +125,30 @@ class DataLossOnceBackend final : public runtime::ExecutionBackend {
   static const runtime::ExecutionBackend& soc() {
     return **runtime::BackendRegistry::global().find("soc");
   }
+};
+
+/// Holds its pool worker until `open` is fulfilled, then echoes the
+/// image: lets a test queue tasks behind a busy single-worker pool.
+class GateBackend final : public runtime::ExecutionBackend {
+ public:
+  std::string_view name() const override { return "gate"; }
+  std::string_view description() const override {
+    return "waits until the test opens it, echoes the image back";
+  }
+  StatusOr<runtime::ExecutionResult> run(
+      const core::PreparedModel& prepared,
+      const runtime::RunOptions&) const override {
+    opened.wait();
+    runtime::ExecutionResult result;
+    result.backend = "gate";
+    result.output = prepared.input;
+    return result;
+  }
+
+  std::promise<void> open;
+
+ private:
+  std::shared_future<void> opened = open.get_future().share();
 };
 
 // ---------------------------------------------------------------------------
@@ -383,40 +408,64 @@ TEST(Canary, QuarantinesDropTheSocEnvelopeAndRestageRecordsItAgain) {
   EXPECT_TRUE(session.probe_golden("soc").is_ok());
 }
 
-TEST(Canary, QuarantineDuringInFlightStagingIsNotAdoptedBack) {
+TEST(Canary, QuarantineDuringQueuedStagingIsNotInstalled) {
   auto owned = std::make_unique<DataLossOnceBackend>();
   DataLossOnceBackend& backend = *owned;
+  auto owned_gate = std::make_unique<GateBackend>();
+  GateBackend& gate = *owned_gate;
   runtime::BackendRegistry registry;
   ASSERT_TRUE(registry.add(std::move(owned)).is_ok());
+  ASSERT_TRUE(registry.add(std::move(owned_gate)).is_ok());
   const auto image = synthetic_image(9560);
   InferenceSession session(models::lenet5(), {}, &registry);
-  ASSERT_TRUE(session.register_model("twin", models::lenet5()).is_ok());
-  const auto clean = session.run("soc_dataloss", image);
+
+  // One worker: the pool runs its tasks strictly in FIFO order.
+  runtime::BatchOptions one_worker;
+  one_worker.workers = 1;
+  const auto clean =
+      session.run_batch_parallel("soc_dataloss", {image}, one_worker);
   ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  ASSERT_EQ(session.pool_worker_count(), 1u);
   EXPECT_EQ(session.counters().envelopes, 1u);
 
-  // A budget below both models evicts the cold schedule but keeps the
-  // trace core and its envelope: the next submit stages from that core,
-  // so its staging latch carries the envelope. Lifting the budget again
-  // leaves the rest of the test to the quarantine alone.
+  // Queue, behind a task holding the worker: the armed request (served
+  // from the staged snapshot), then a staging task started after a budget
+  // eviction, then a request waiting on that staging. The eviction keeps
+  // the trace core, so the staging carries the recorded envelope.
+  auto blocker = session.submit("gate", image);
+  backend.armed = true;
+  auto failing = session.submit("soc_dataloss", image);
   session.set_replay_budget_bytes(1);
   EXPECT_EQ(session.counters().evictions, 1u);
   session.set_replay_budget_bytes(0);
+  auto queued = session.submit("soc_dataloss", image);
+  EXPECT_EQ(session.counters().async_stagings, 2u);
+  // A model with a staging in flight holds no schedule.
+  for (const auto& row : session.variant_stats()) EXPECT_FALSE(row.staged);
+  gate.open.set_value();
+  ASSERT_TRUE(blocker.get().is_ok());
 
-  // The task queued behind the latch detects corruption before anything
-  // adopts the latch: the quarantine lands with the staging in flight.
-  backend.armed = true;
-  const auto failed = session.submit("soc_dataloss", image).get();
+  // The armed request quarantines while the staging is still queued: the
+  // staging is detached and runs to completion, but is not installed.
+  const auto failed = failing.get();
   ASSERT_FALSE(failed.is_ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
-  EXPECT_GE(session.robustness().quarantines, 1u);
+  EXPECT_EQ(session.robustness().quarantines, 1u);
+  // The request queued behind the detached staging still gets its result.
+  const auto detached = queued.get();
+  ASSERT_TRUE(detached.is_ok()) << detached.status().to_string();
+  EXPECT_EQ(detached->output, clean->front().output);
+  EXPECT_EQ(session.counters().trace, 2u);
+  EXPECT_EQ(session.counters().envelopes, 1u);
 
-  // The next request must not adopt that latch and serve the dropped
-  // envelope: it restages and records the envelope again.
+  // So the next request stages again from the frontend and records the
+  // envelope afresh instead of serving the dropped one.
   const auto restaged = session.run("soc_dataloss", image);
   ASSERT_TRUE(restaged.is_ok()) << restaged.status().to_string();
-  EXPECT_EQ(restaged->output, clean->output);
-  EXPECT_EQ(restaged->cycles, clean->cycles);
+  EXPECT_EQ(restaged->output, clean->front().output);
+  EXPECT_EQ(restaged->cycles, clean->front().cycles);
+  EXPECT_EQ(session.counters().async_stagings, 3u);
+  EXPECT_EQ(session.counters().trace, 3u);
   EXPECT_EQ(session.counters().envelopes, 2u);
 }
 

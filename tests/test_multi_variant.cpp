@@ -175,8 +175,8 @@ TEST(MultiVariant, BudgetEvictsColdModelAndRestagesBitExactly) {
   EXPECT_EQ(restaged->output, first->output);
   EXPECT_EQ(restaged->cycles, first->cycles);
 
-  // The next request adopts the fresh schedule and the budget evicts the
-  // now-cold twin in turn: residency settles back under the budget.
+  // The next request serves from the fresh schedule and the budget evicts
+  // the now-cold twin in turn: residency settles back under the budget.
   const auto settled = session.submit("soc", image).get();
   ASSERT_TRUE(settled.is_ok()) << settled.status().to_string();
   EXPECT_EQ(settled->output, first->output);
@@ -234,6 +234,30 @@ TEST(MultiVariant, BudgetEvictionKeepsTheSocEnvelopeAcrossRestage) {
     EXPECT_TRUE(
         same_stats(restaged->soc->engine_stats, want->soc->engine_stats));
   }
+}
+
+TEST(MultiVariant, PreparedSnapshotKeepsItsScheduleAcrossEviction) {
+  // prepared() returns a snapshot: a budget eviction drops the model's
+  // schedule, never the one a caller holds.
+  InferenceSession session(models::lenet5());
+  ASSERT_TRUE(session.register_model("twin", models::lenet5()).is_ok());
+  const auto& prepared = session.prepared();
+  ASSERT_NE(prepared.replay, nullptr);
+  ASSERT_TRUE(session.run("soc?model=twin").is_ok());
+
+  session.set_replay_budget_bytes(1);
+  EXPECT_EQ(session.counters().evictions, 2u);
+  ASSERT_NE(prepared.replay, nullptr);
+  EXPECT_TRUE(prepared.replay_schedule().ops_intact());
+
+  // The held schedule still serves, bit-exactly with the traced run.
+  const auto backend = runtime::BackendRegistry::global().find("soc");
+  ASSERT_TRUE(backend.is_ok());
+  runtime::RunOptions options;
+  options.flow = session.config();
+  const auto result = (*backend)->run(prepared, options);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->output, prepared.vp().output);
 }
 
 TEST(MultiVariant, EvictedModelKeepsItsEnvelopeBytesResident) {

@@ -10,7 +10,8 @@ namespace {
 
 const PreparedModel& prepared() {
   static runtime::InferenceSession session(models::lenet5());
-  return session.prepared();
+  static const PreparedModel staged = session.prepared();
+  return staged;
 }
 
 TEST(Report, ProfileAlignsWithLoadable) {

@@ -142,18 +142,20 @@ TEST(SharedCores, BatchWorkersLeaveNoExtraCoreReferencesBehind) {
   const auto results = session.run_batch_parallel("soc", images, options);
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
   // Every worker snapshot shared the session cores and is reclaimed once
-  // its task object dies: only the session's own PreparedModel holds them
-  // then. The last worker may still be tearing its task down when the
-  // batch call returns, so allow the refcount a moment to settle.
+  // its task object dies: only the model's staged state and the snapshot
+  // taken here hold them then. The last worker may still be tearing its
+  // task down when the batch call returns, so allow the refcount a moment
+  // to settle.
+  const core::PreparedModel snapshot = session.prepared();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((session.prepared().frontend.use_count() > 1 ||
-          session.prepared().tail.use_count() > 1) &&
+  while ((snapshot.frontend.use_count() > 2 ||
+          snapshot.tail.use_count() > 2) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(session.prepared().frontend.use_count(), 1);
-  EXPECT_EQ(session.prepared().tail.use_count(), 1);
+  EXPECT_EQ(snapshot.frontend.use_count(), 2);
+  EXPECT_EQ(snapshot.tail.use_count(), 2);
 }
 
 TEST(SharedCores, RepackedCopyStillPatchesThePreloadImageView) {
