@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
   if (retries > 0) {
-    session.set_retry_policy({static_cast<std::uint32_t>(retries) + 1, 0});
+    session.set_retry_policy({static_cast<std::uint32_t>(retries) + 1});
   }
   if (deadline_ms > 0) {
     session.set_default_deadline_ms(static_cast<std::uint32_t>(deadline_ms));

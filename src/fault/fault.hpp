@@ -22,7 +22,7 @@
 //   dbb_error    a DBB burst gets an AXI error response -> kUnavailable
 //   stall        an artificial ISS stall: the SoC run burns its
 //                instruction budget -> kDeadlineExceeded
-//   staging      an async staging task fails -> kUnavailable
+//   staging      a staging fails at its start -> kUnavailable
 //   replay       a replay-engine run fails -> kUnavailable
 //
 // The injector is shared (shared_ptr) across the layers it arms and its

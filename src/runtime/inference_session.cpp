@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/strfmt.hpp"
@@ -407,7 +406,7 @@ InferenceSession::build_frontend(
 
 const core::FrontendArtifacts& InferenceSession::ensure_frontend(
     ModelState& model) {
-  drain_staging(model);  // a pooled staging task may be building it right now
+  drain_staging(model);  // a running staging may be building it right now
   {
     MutexLock lock(submit_mutex_);
     if (model.staged.has_frontend()) return *model.staged.frontend;
@@ -446,8 +445,7 @@ void InferenceSession::repack_into(const ModelState& model,
 
 void InferenceSession::stage_tail_into(const ModelState& model,
                                        core::PreparedModel& prepared,
-                                       std::span<const float> image,
-                                       bool record_replay) const {
+                                       std::span<const float> image) const {
   // The full-trace path must reject a wrong-size image exactly like the
   // repack path does, instead of packing garbage into
   // Loadable::pack_input / the VP.
@@ -465,14 +463,9 @@ void InferenceSession::stage_tail_into(const ModelState& model,
   tail->vp = platform.run(prepared.frontend->loadable, prepared.input);
   ++counters_.trace;
 
-  // The full run just recorded a fresh replay schedule. The inline rebuild
-  // after a quarantine drops it (its task-local schedule could never be
-  // reused, and nothing measured from a suspect state is replayed).
-  prepared.replay =
-      record_replay ? core::make_replay_schedule(tail->vp,
-                                                 prepared.frontend->loadable,
-                                                 model.config.nvdla)
-                    : nullptr;
+  // The full run just recorded a fresh replay schedule.
+  prepared.replay = core::make_replay_schedule(
+      tail->vp, prepared.frontend->loadable, model.config.nvdla);
 
   // When the new trace programs the engine identically (it always does —
   // the register stream is input-independent), the configuration file and
@@ -516,80 +509,91 @@ void InferenceSession::note_staging_done() {
   counters_.stagings_running.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void InferenceSession::start_staging_locked(ModelState& model,
-                                            std::span<const float> image) {
-  auto latch = std::make_shared<StagingLatch>();
-  latch->done = latch->promise.get_future().share();
-
-  // The task owns a private snapshot (sharing whatever immutable cores are
-  // already staged) plus copies of the inputs it needs; it reads only the
-  // model's immutable identity (network, config) beyond the atomic
-  // counters until it installs its result under the lock. The
-  // promise/future edge sequences every waiter's read of `staged`.
-  core::PreparedModel base = model.staged;
+StatusOr<core::PreparedModel> InferenceSession::staged_model(
+    ModelState& model, std::span<const float> image) {
+  std::shared_ptr<StagingLatch> latch;
+  std::shared_future<Status> running;  // valid: another thread is staging
+  core::PreparedModel base;
   std::vector<float> calibration_image;
-  if (!base.has_frontend()) calibration_image = default_input_locked(model);
-  // The staging trace itself always runs fault-free (clean artifacts are
-  // what makes injected corruption *detectable*), but the staging task as a
-  // control-flow unit can fail: the plan's `staging` kind fails the latch
-  // with a typed, retryable kUnavailable.
-  auto injector =
-      model.config.fault != nullptr ? model.config.fault : session_fault_;
-  ++counters_.async_stagings;
+  std::shared_ptr<fault::Injector> injector;
+  {
+    MutexLock lock(submit_mutex_);
+    if (staged_locked(model)) return model.staged;  // refcounts + input
+    if (model.staging != nullptr) {
+      // Wait on a private future copy, taken under the lock: no two threads
+      // ever wait through one shared_future object.
+      latch = model.staging;
+      running = latch->done;
+    } else {
+      latch = std::make_shared<StagingLatch>();
+      latch->done = latch->promise.get_future().share();
+      model.staging = latch;
+      ++counters_.async_stagings;
+      // Stage on a private copy sharing whatever immutable cores are
+      // already staged (the frontend, the trace core a budget eviction
+      // kept); only the model's immutable identity (network, config) and
+      // the atomic counters are read until the install below.
+      base = model.staged;
+      if (!base.has_frontend()) {
+        calibration_image = default_input_locked(model);
+      }
+      // The staging trace itself always runs fault-free (clean artifacts
+      // are what makes injected corruption *detectable*), but the staging
+      // as a control-flow unit can fail: the plan's `staging` kind fails
+      // the latch with a typed, retryable kUnavailable.
+      injector =
+          model.config.fault != nullptr ? model.config.fault : session_fault_;
+    }
+  }
+  if (running.valid()) {
+    if (const Status& status = running.get(); !status.is_ok()) return status;
+    return latch->staged;
+  }
+
   note_staging_issued();
-  pool_locked(0).submit(
-      [this, latch, state = &model, base = std::move(base),
-       image = std::vector<float>(image.begin(), image.end()),
-       calibration_image = std::move(calibration_image),
-       injector = std::move(injector)]() mutable {
-        const Status status = [&]() -> Status {
-          if (injector != nullptr &&
-              injector->fire(fault::Kind::kStagingFail)) {
-            return Status(StatusCode::kUnavailable,
-                          "injected staging-task failure");
-          }
-          try {
-            if (!base.has_frontend()) {
-              base.frontend = build_frontend(*state, calibration_image);
-            }
-            stage_tail_into(*state, base, image, /*record_replay=*/true);
-            install_checkin_hook(*base.replay, *state);
-            latch->staged = std::move(base);
-            return Status::ok();
-          } catch (const StatusError& e) {
-            return e.status();
-          } catch (const std::exception& e) {
-            return Status(StatusCode::kInvalidArgument, e.what());
-          } catch (...) {
-            // The latch promise is the only completion channel (the task's
-            // own future is discarded): it must be fulfilled for *any*
-            // exception, or every queued arrival would block forever.
-            return Status(StatusCode::kInternal,
-                          "staging task failed with a non-standard exception");
-          }
-        }();
-        if (!status.is_ok()) ++robust_.staging_faults;
-        {
-          // Install before fulfilling the latch, so every waiter wakes to a
-          // staged model. A latch a quarantine detached is never installed.
-          MutexLock lock(submit_mutex_);
-          if (state->staging == latch) {
-            if (status.is_ok()) {
-              // An installed frontend is kept: weights()/loadable() handed
-              // out references into it.
-              auto frontend = std::move(state->staged.frontend);
-              state->staged = latch->staged;
-              if (frontend != nullptr) {
-                state->staged.frontend = std::move(frontend);
-              }
-            }
-            state->staging.reset();
-          }
-        }
-        latch->promise.set_value(status);
-        note_staging_done();
-      });
-  model.staging = latch;
+  const Status status = [&]() -> Status {
+    if (injector != nullptr && injector->fire(fault::Kind::kStagingFail)) {
+      return Status(StatusCode::kUnavailable, "injected staging failure");
+    }
+    try {
+      if (!base.has_frontend()) {
+        base.frontend = build_frontend(model, calibration_image);
+      }
+      stage_tail_into(model, base, image);
+      install_checkin_hook(*base.replay, model);
+      latch->staged = base;
+      return Status::ok();
+    } catch (const StatusError& e) {
+      return e.status();
+    } catch (const std::exception& e) {
+      return Status(StatusCode::kInvalidArgument, e.what());
+    } catch (...) {
+      // The latch is its waiters' only completion channel: it must be
+      // fulfilled for *any* exception, or they would block forever.
+      return Status(StatusCode::kInternal,
+                    "staging failed with a non-standard exception");
+    }
+  }();
+  if (!status.is_ok()) ++robust_.staging_faults;
+  {
+    // Install before fulfilling the latch, so every waiter wakes to a
+    // staged model. A latch a quarantine detached is never installed.
+    MutexLock lock(submit_mutex_);
+    if (model.staging == latch) {
+      if (status.is_ok()) {
+        // An installed frontend is kept: weights()/loadable() handed out
+        // references into it.
+        auto frontend = std::move(model.staged.frontend);
+        model.staged = base;
+        if (frontend != nullptr) model.staged.frontend = std::move(frontend);
+      }
+      model.staging.reset();
+    }
+  }
+  latch->promise.set_value(status);
+  note_staging_done();
+  if (!status.is_ok()) return status;
+  return base;
 }
 
 void InferenceSession::drain_staging(ModelState& model) {
@@ -730,7 +734,7 @@ void InferenceSession::set_replay_budget_bytes(std::uint64_t budget_bytes) {
   checkin_state_->budget.store(budget_bytes, std::memory_order_relaxed);
   // Enforce immediately so a freshly lowered budget takes effect without
   // waiting for the next request. Every schedule already carries its
-  // check-in hook (the staging task installs it), idle while no budget is
+  // check-in hook (the staging thread installs it), idle while no budget is
   // set.
   enforce_budget_locked(nullptr);
 }
@@ -824,23 +828,9 @@ core::PreparedModel InferenceSession::prepare_in(
   if (Status s = check_image_shape(model, image); !s.is_ok()) {
     throw StatusError(std::move(s));
   }
-  // Stage through the latch submit() uses, so the trace runs on a pool
-  // worker. The loop re-checks because a quarantine may detach the latch
-  // before it installs its result.
-  core::PreparedModel snapshot;
-  for (;;) {
-    std::shared_future<Status> staging;
-    {
-      MutexLock lock(submit_mutex_);
-      if (staged_locked(model)) {
-        snapshot = model.staged;
-        break;
-      }
-      if (model.staging == nullptr) start_staging_locked(model, image);
-      staging = model.staging->done;
-    }
-    if (const Status& s = staging.get(); !s.is_ok()) throw StatusError(s);
-  }
+  auto staged = staged_model(model, image);
+  if (!staged.is_ok()) throw StatusError(staged.status());
+  core::PreparedModel snapshot = std::move(staged).value();
   repack_into(model, snapshot, image);
   snapshot.reference_output =
       compiler::ReferenceExecutor(model.network, snapshot.weights())
@@ -936,33 +926,6 @@ PendingResult InferenceSession::submit(const ResolvedSpec& spec,
   }
 }
 
-InferenceSession::StagingSource InferenceSession::staging_source_locked(
-    ModelState& model, std::span<const float> image) {
-  StagingSource source;
-  if (staged_locked(model)) {
-    source.snapshot = model.staged;  // three refcounts + input
-    return source;
-  }
-  // First arrival — or arrivals racing the in-flight staging — queue
-  // behind the staging latch instead of tracing on the calling thread.
-  if (model.staging == nullptr) start_staging_locked(model, image);
-  source.latch = model.staging;
-  source.done = model.staging->done;  // this task's own future copy
-  return source;
-}
-
-Status InferenceSession::resolve_staged_model(StagingSource& source,
-                                              core::PreparedModel& model) {
-  if (source.latch != nullptr) {
-    const Status staged = source.done.get();
-    if (!staged.is_ok()) return staged;
-    model = source.latch->staged;
-    return Status::ok();
-  }
-  model = std::move(source.snapshot);
-  return Status::ok();
-}
-
 PendingResult InferenceSession::submit_with(ModelState& model,
                                             VariantState* variant,
                                             const ExecutionBackend& backend,
@@ -976,34 +939,31 @@ PendingResult InferenceSession::submit_with(ModelState& model,
   }
 
   // Copy the image before taking the lock: concurrent submitters should
-  // serialize on the staging-source selection only, not on O(input) work.
+  // serialize on the bookkeeping only, not on O(input) work.
   std::vector<float> image_copy(image.begin(), image.end());
 
   // The deadline clock starts at enqueue: queueing delay counts against
   // the request, so an aged-out request sheds at dequeue without running.
   const auto enqueued = std::chrono::steady_clock::now();
 
-  StagingSource source;
   ThreadPool* pool = nullptr;
   RetryPolicy retry;
   {
     MutexLock lock(submit_mutex_);
     note_use_locked(model, variant);
     pool = &pool_locked(worker_hint);
-    source = staging_source_locked(model, image);
     retry = retry_policy_;
     // Enforce on use: the model serving this request is evicted last.
     enforce_budget_locked(&model);
   }
 
-  // Enqueue outside the lock (FIFO still holds what matters: the staging
-  // task, if any, was queued under the lock before this arrival). The task
-  // owns everything it touches: a surface snapshot sharing the immutable
-  // cores (frontend, trace, replay schedule), its own copy of the image,
-  // and per-run options. Repacking in the task skips the FP32 reference —
-  // pooled serving replays cheap functional ops only. The backend is
-  // registry-owned and the ModelState map-pinned; both outlive the drain
-  // (the pool is the first session member to be destroyed).
+  // Enqueue outside the lock. The task owns everything it touches: its own
+  // copy of the image, per-run options, and the staged model it takes from
+  // staged_model() (a snapshot sharing the immutable cores, staged in place
+  // first if nothing is staged or staging). Repacking in the task skips the
+  // FP32 reference — pooled serving replays cheap functional ops only. The
+  // backend is registry-owned and the ModelState map-pinned; both outlive
+  // the drain (the pool is the first session member to be destroyed).
   //
   // The result travels through the handle's shared State, not the pool
   // future (discarded): State::complete publishes the value, wakes get()
@@ -1014,10 +974,9 @@ PendingResult InferenceSession::submit_with(ModelState& model,
   auto state = std::make_shared<PendingResult::State>();
   pool->submit(
       [this, model_state = &model, &backend, options, retry, state,
-       source = std::move(source), image = std::move(image_copy),
-       enqueued]() mutable {
+       image = std::move(image_copy), enqueued] {
         state->complete(run_submitted(*model_state, backend, options, retry,
-                                      source, image, enqueued));
+                                      image, enqueued));
       });
   return PendingResult(std::move(state));
 }
@@ -1025,7 +984,7 @@ PendingResult InferenceSession::submit_with(ModelState& model,
 StatusOr<ExecutionResult> InferenceSession::run_submitted(
     ModelState& model, const ExecutionBackend& backend,
     const RunOptions& options, RetryPolicy retry,
-    StagingSource& source, std::span<const float> image,
+    std::span<const float> image,
     std::chrono::steady_clock::time_point enqueued) {
   const auto expired = [&] {
     return options.deadline_ms != 0 &&
@@ -1050,19 +1009,13 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
     StatusOr<ExecutionResult> result = [&]() -> StatusOr<ExecutionResult> {
       try {
         if (!ready) {
-          if (attempt == 1) {
-            if (Status staged = resolve_staged_model(source, prepared);
-                !staged.is_ok()) {
-              return staged;
-            }
-          } else if (Status rebuilt = rebuild_inline(model, prepared, image);
-                     !rebuilt.is_ok()) {
-            return rebuilt;
-          }
+          auto staged = staged_model(model, image);
+          if (!staged.is_ok()) return staged.status();
+          prepared = std::move(staged).value();
           ready = true;
         }
-        // Deadline gate 2: the staging latch (or an inline rebuild) may
-        // have taken arbitrarily long.
+        // Deadline gate 2: the staging (this task's or the one it waited
+        // on) may have taken arbitrarily long.
         if (expired()) return deadline_error("behind the staging latch");
         repack_into(model, prepared, image);
         return backend.run(prepared, options);
@@ -1079,10 +1032,11 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
     if (result.is_ok()) return result;
     const StatusCode code = result.status().code();
     if (code == StatusCode::kDataLoss) {
-      // Detected corruption: quarantine the shared schedule so no later
-      // request serves from it. This task's snapshot still pins the
-      // quarantined core, so a retry must rebuild inline (ready = false)
-      // from the immutable artifacts rather than reuse the snapshot.
+      // Detected corruption: quarantine the shared schedule and trace core
+      // so no later request serves from them. This task's snapshot still
+      // pins the quarantined cores, so a retry stages the model again
+      // through staged_model() (ready = false) and installs what it
+      // records for the requests after it.
       ++robust_.data_loss;
       MutexLock lock(submit_mutex_);
       quarantine_locked(model);
@@ -1091,49 +1045,11 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
     if (!is_transient(code) || attempt >= max_attempts || expired()) {
       return result;
     }
+    // A retry after a failed staging stages again; one after a failed run
+    // reuses its snapshot (the injector's decision stream has advanced),
+    // unless the failure was kDataLoss (above).
     ++robust_.retries;
-    if (retry.backoff_ms != 0) {
-      // Linear backoff on the worker. kUnavailable retries reuse the
-      // snapshot — the injector's decision stream has advanced — while
-      // kDataLoss retries re-trace first (above).
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(retry.backoff_ms) * attempt);
-    }
-  }
-}
-
-Status InferenceSession::rebuild_inline(ModelState& model,
-                                        core::PreparedModel& prepared,
-                                        std::span<const float> image) {
-  try {
-    if (!prepared.has_frontend()) {
-      std::vector<float> calibration_image;
-      {
-        MutexLock lock(submit_mutex_);
-        if (model.staged.has_frontend()) {
-          // Reuse the model's immutable frontend core (refcount bump).
-          prepared.frontend = model.staged.frontend;
-        } else {
-          calibration_image = default_input_locked(model);
-        }
-      }
-      if (!prepared.has_frontend()) {
-        prepared.frontend = build_frontend(model, calibration_image);
-      }
-    }
-    // Never serve from a quarantined schedule: drop the snapshot's pin and
-    // re-trace in this task. No staging latch is enqueued — queueing one
-    // from inside a pool task would deadlock a single-worker pool — and no
-    // task-local schedule is recorded (it could never be shared); the
-    // session restages its own schedule on the model's next use.
-    prepared.replay.reset();
-    stage_tail_into(model, prepared, image, /*record_replay=*/false);
-    ++robust_.restages;
-    return Status::ok();
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInternal, e.what());
+    if (code == StatusCode::kDataLoss) ++robust_.restages;
   }
 }
 
@@ -1154,9 +1070,9 @@ StagingHandle InferenceSession::prepare_async(const std::string& backend,
 std::vector<StagingHandle> InferenceSession::prepare_async(
     const std::vector<std::string>& backends) {
   // One pool pass for the whole fleet: every call below only *enqueues*
-  // (staging latch and stage() hook both run on the pool), so N variants'
-  // stagings are all in flight before any handle is waited on — specs
-  // sharing a model dedup the trace behind its latch.
+  // (the shared staging and the stage() hook both run in the task), so N
+  // variants' stagings are all in flight before any handle is waited on —
+  // specs sharing a model dedup the trace behind its latch.
   std::vector<StagingHandle> handles;
   handles.reserve(backends.size());
   for (const auto& backend : backends) {
@@ -1175,28 +1091,24 @@ StagingHandle InferenceSession::prepare_async_resolved(
   VariantState* variant = spec.variant_;
   const RunOptions options = run_options(model);
   try {
-    StagingSource source;
     ThreadPool* pool = nullptr;
     {
       MutexLock lock(submit_mutex_);
       pool = &pool_locked(0);
-      source = staging_source_locked(model, image);
     }
     // Issued-at-enqueue: a vector prepare pushes stagings_running to the
     // fleet size before any task completes — the concurrency evidence.
     note_staging_issued();
     try {
       auto future = pool->submit(
-        [this, source = std::move(source), options, staged_backend,
-         variant]() mutable -> Status {
+        [this, model_state = &model,
+         image = std::vector<float>(image.begin(), image.end()), options,
+         staged_backend, variant]() -> Status {
           Status outcome = [&]() -> Status {
             try {
-              core::PreparedModel prepared;
-              if (Status staged = resolve_staged_model(source, prepared);
-                  !staged.is_ok()) {
-                return staged;
-              }
-              staged_backend->stage(prepared, options);
+              auto prepared = staged_model(*model_state, image);
+              if (!prepared.is_ok()) return prepared.status();
+              staged_backend->stage(*prepared, options);
               return Status::ok();
             } catch (const StatusError& e) {
               return e.status();

@@ -19,19 +19,23 @@
 //
 // One request path: run() is submit().get(), run_batch_parallel() submits
 // and collects, and prepare()/prepared() stage through the same per-model
-// staging latch on the session pool. Every VP trace — staging or rebuild —
-// runs on a pool worker, and every request honours the session deadline
-// and retry policy. "Staged" is derived from the cores, never stored: a
-// model is staged while it holds a trace core plus a live schedule.
+// staging latch. Every request honours the session deadline and retry
+// policy. "Staged" is derived from the cores, never stored: a model is
+// staged while it holds a trace core plus a live schedule.
 //
-// Staging latch: a model's first use (or its first after an eviction or a
-// quarantine) enqueues one staging task behind a latch. The task installs
-// its cores into the model under the session lock when it finishes, and
-// only then fulfils the latch, so the model is staged before any waiter
-// wakes. Requests queued behind the latch read the task's result from the
-// latch itself. A quarantine detaches an in-flight latch: that task's
-// waiters still get its result, but the task never installs it. A failed
-// staging only clears the latch; the next use stages again.
+// One staging path: the thread that needs a staged model — a pooled
+// submit task, a prepare_async task, or prepare()'s caller — and finds it
+// neither staged nor staging creates the model's latch and stages in place
+// (frontend if missing, one VP trace, replay-schedule recording). It
+// installs its cores into the model under the session lock, and only then
+// fulfils the latch, so the model is staged before any waiter wakes.
+// Threads that find the latch read its result from the latch itself. A
+// latch exists only while the thread that created it runs the staging, so
+// nothing ever waits on queued work. A quarantine detaches a running
+// latch: its waiters still get its result, but it is never installed. A
+// failed staging only clears the latch; the next use stages again. A
+// kDataLoss retry quarantines the model and stages through the same path,
+// so the schedule it records serves the requests after it.
 //
 // One oracle: every replay path is bit-exact with a full simulation of the
 // same image, and that simulation is the check. For the SoC platforms it
@@ -54,7 +58,7 @@
 // core::TraceArtifacts for trace/config file/program and the SoC
 // envelopes recorded from that program,
 // core::ReplaySchedule for the functional replay) behind shared_ptr<const>.
-// It is written only under the session lock: by the staging task that
+// It is written only under the session lock: by the staging thread that
 // built it, by a budget eviction (drops the schedule), by a quarantine
 // (drops the schedule and the trace core) and by the frontend accessors
 // (install the frontend core once; it is never replaced). Every reader —
@@ -84,12 +88,12 @@
 // one worker per hardware thread.
 //
 //   submit(backend, image) -> PendingResult
-//     streaming arrivals, fully asynchronous: no VP trace ever runs on the
-//     calling thread. The first arrival for a model enqueues a *staging
-//     task* (one VP trace + replay-schedule recording) behind that model's
-//     staging latch; later arrivals enqueue behind it instead of blocking,
-//     and once the staged artifacts exist submits snapshot the shared
-//     pointers and copy the image. Results come back through
+//     streaming arrivals, fully asynchronous: submit() copies the image
+//     and enqueues, so no VP trace ever runs on the calling thread. The
+//     pooled task that first finds its model unstaged stages it (one VP
+//     trace + replay-schedule recording) behind the model's latch; tasks
+//     running meanwhile wait on that latch, and once the staged artifacts
+//     exist tasks snapshot the shared pointers. Results come back through
 //     PendingResult::get() as StatusOr — task exceptions never escape the
 //     future. Calls overlap freely; there is no batch barrier.
 //
@@ -100,13 +104,13 @@
 //     re-canonicalization.
 //
 //   prepare_async(backend, image) -> StagingHandle
-//     front-load the whole staging pipeline off the serving path: the
-//     shared artifacts stage in the pool, then the backend's own stage()
-//     hook runs (the replay-mode SoC variants record their
+//     front-load the whole staging pipeline off the serving path: one
+//     pool task stages the shared artifacts, then runs the backend's own
+//     stage() hook (the replay-mode SoC variants record their
 //     input-independent platform envelope there), so not even the first
 //     pooled batch pays a one-time stall. The vector overload stages a
-//     whole fleet in one pool pass: per-model latches dedup the shared
-//     work, and every variant's stage() hook runs as its own pool task.
+//     whole fleet in one pool pass: one task per variant, with per-model
+//     latches deduping the shared work.
 //
 //   run_batch_parallel(backend, images, options)
 //     a thin wrapper over submit-and-collect that keeps the batch
@@ -118,11 +122,13 @@
 // snapshots that no later call, eviction or quarantine rewrites;
 // weights()/calibration()/loadable() return references into the default
 // model's frontend core, which lives as long as the session. The blocking
-// calls — run(), run_batch_parallel(), prepare()/prepared(), the frontend
-// accessors and probe_golden() — wait on pooled work, so they must never
-// be called from a pool worker or an on_ready hook: a saturated pool would
-// deadlock. Destroying the session drains in-flight work first: every
-// PendingResult and StagingHandle already handed out still completes.
+// calls — run(), run_batch_parallel() and probe_golden() wait on pooled
+// work; prepare()/prepared() and the frontend accessors stage or wait on a
+// running staging — must never be called from a pool worker or an
+// on_ready hook: a saturated pool would deadlock. Destroying the session
+// drains in-flight work first: every PendingResult and StagingHandle
+// already handed out still completes, each pooled task staging what it
+// needs on its own worker.
 //
 // Execution is delegated to a named ExecutionBackend from a
 // BackendRegistry; all runtime error paths (unknown backend, program-memory
@@ -163,17 +169,16 @@ struct StageCounters {
   /// vp/linux_baseline replay every image but the one their model traced;
   /// the replay-mode SoC backends replay every image.
   std::uint32_t replay = 0;
-  /// Staging tasks handed to the pool by submit()/prepare_async() — bumped
-  /// at enqueue time, on the calling thread, so a test can assert the
-  /// async path was taken the moment submit() returns. The trace itself is
-  /// counted by `trace` when the pool executes it. Per-model latches mean
-  /// concurrent variants of distinct models each contribute one.
+  /// Stagings started: bumped on the staging thread when it creates the
+  /// model's latch, before it traces (the trace itself is counted by
+  /// `trace`). Per-model latches mean concurrent variants of distinct
+  /// models each contribute one.
   std::uint32_t async_stagings = 0;
-  /// High-water mark of the staging pipeline elements (shared-artifact
-  /// latch tasks *and* per-variant stage() hook tasks) in flight at once —
-  /// issued but not finished — over the session lifetime: a vector prepare
-  /// of N variants pushes this to N (the enqueues outrun any single staging
-  /// task), proving the stagings overlapped.
+  /// High-water mark of the staging pipeline elements in flight at once
+  /// over the session lifetime: running shared-artifact stagings plus
+  /// prepare_async tasks, the latter counted from enqueue to finish. A
+  /// vector prepare of N variants pushes this to N (the enqueues outrun
+  /// any single task), proving the stagings overlapped.
   std::uint32_t staging_peak = 0;
   /// Replay schedules dropped by the byte-budget eviction policy (each
   /// re-stages transparently — one re-trace — on its model's next use).
@@ -201,15 +206,12 @@ struct BatchOptions {
 /// kUnavailable, kDataLoss) inside pooled submit tasks. Non-transient
 /// failures — bad arguments, validation, deadline expiry — never retry.
 /// A kDataLoss failure additionally quarantines the model's replay
-/// schedule and restages inline before the retry attempt, so the retry
-/// never re-serves from a corrupted artifact.
+/// schedule and trace core, and the retry stages the model again through
+/// its latch, so it never re-serves from a corrupted artifact and the
+/// schedule it records serves the requests after it.
 struct RetryPolicy {
   /// Total attempts per request, first try included (1 = no retry).
   std::uint32_t max_attempts = 1;
-  /// Linear backoff between attempts: attempt n sleeps n*backoff_ms first
-  /// (0 = retry immediately). Sleeps on the pool worker, so size it for
-  /// the configured worker count.
-  std::uint32_t backoff_ms = 0;
 };
 
 /// Robustness evidence: how often the hardened serving paths fired.
@@ -218,11 +220,12 @@ struct RobustnessCounters {
   std::uint64_t retries = 0;      ///< re-attempts after transient failures
   std::uint64_t quarantines = 0;  ///< schedules + trace cores dropped
                                   ///< after corruption
-  std::uint64_t restages = 0;     ///< inline re-stagings after quarantine
+  std::uint64_t restages = 0;     ///< retries that restaged the model
+                                  ///< after a quarantine
   std::uint64_t deadline_exceeded = 0;  ///< requests expired at a boundary
   std::uint64_t data_loss = 0;          ///< corruption detections observed
-  std::uint64_t staging_faults = 0;     ///< failed staging tasks (injected
-                                        ///< or real) surfaced through latches
+  std::uint64_t staging_faults = 0;     ///< failed stagings (injected or
+                                        ///< real) surfaced through latches
 };
 
 /// Per-variant serving statistics (one row per distinct (model, canonical
@@ -406,7 +409,7 @@ class InferenceSession {
   const compiler::Network& network() const;
   const core::FlowConfig& config() const;
   /// Stage-execution evidence, returned as a snapshot: the stage tallies
-  /// are atomics (the async staging task bumps them from the pool) and
+  /// are atomics (staging threads bump them from the pool) and
   /// `replay` is folded in from every model's live schedule at call time
   /// — safe to call concurrently with submit()/prepare_async() and
   /// in-flight pooled tasks.
@@ -446,10 +449,11 @@ class InferenceSession {
   /// prepare() of the default input.
   core::PreparedModel prepared();
   /// A snapshot of the model's staged cores for `image`: when the model is
-  /// not staged yet, it stages through the same pooled latch submit() uses
-  /// (tracing `image`) and waits for it; then `image` is swapped onto the
-  /// snapshot and its FP32 reference computed. Throws StatusError for a
-  /// wrong-size image or a failed staging.
+  /// not staged yet, it stages through the same latch submit() uses —
+  /// tracing `image` on the calling thread, or waiting on a staging already
+  /// running; then `image` is swapped onto the snapshot and its FP32
+  /// reference computed. Throws StatusError for a wrong-size image or a
+  /// failed staging.
   core::PreparedModel prepare(std::span<const float> image);
 
   // --- spec resolution -----------------------------------------------------
@@ -461,20 +465,20 @@ class InferenceSession {
   StatusOr<ResolvedSpec> resolve(const std::string& spec);
 
   /// Enqueue the whole staging pipeline on the session pool without
-  /// running an inference: the shared artifacts (frontend + one VP trace +
-  /// replay schedule) stage behind the routed model's latch — the same one
-  /// submit() uses — then the resolved backend's stage() hook runs as its
-  /// own pool task (the replay-mode SoC variants record their platform
-  /// envelope there). Returns immediately; submits issued meanwhile queue
-  /// behind the latch. `image` seeds the first trace when nothing is
-  /// staged yet (the model's default input otherwise).
+  /// running an inference: one pool task stages the shared artifacts
+  /// (frontend + one VP trace + replay schedule) through the routed
+  /// model's latch — the same one submit() uses — then runs the resolved
+  /// backend's stage() hook (the replay-mode SoC variants record their
+  /// platform envelope there). Returns immediately; submits running
+  /// meanwhile share the latch. `image` seeds the first trace when nothing
+  /// is staged yet (the model's default input otherwise).
   StagingHandle prepare_async(const std::string& backend);
   StagingHandle prepare_async(const std::string& backend,
                               std::span<const float> image);
-  /// Stage a whole fleet in one pool pass: every spec resolves, its
-  /// model's latch stages once (specs sharing a model dedup the trace),
-  /// and each variant's stage() hook runs as its own pool task — all
-  /// enqueued before this returns, so N variants stage concurrently.
+  /// Stage a whole fleet in one pool pass: every spec resolves and gets
+  /// its own pool task, whose model stages once through its latch (specs
+  /// sharing a model dedup the trace) — all enqueued before this returns,
+  /// so N variants stage concurrently.
   /// Handles are index-aligned with `backends`; per-spec failures come
   /// back through the matching handle, never as exceptions.
   std::vector<StagingHandle> prepare_async(
@@ -504,9 +508,10 @@ class InferenceSession {
   /// ThreadPool: every image is shape-checked up front (a wrong-size image
   /// at any index fails the batch before anything is staged), then all are
   /// submitted and collected. Input-independent stages execute at most
-  /// once for the whole batch: the first submit stages the model behind
-  /// its latch; each pooled task swaps its image onto its own PreparedModel
-  /// snapshot and every backend run builds its own SoC/VP instance.
+  /// once for the whole batch: the first pooled task stages the model
+  /// behind its latch; each pooled task swaps its image onto its own
+  /// PreparedModel snapshot and every backend run builds its own SoC/VP
+  /// instance.
   /// Results are in image order and bit-exact with one run() per image.
   ///
   /// The batch is all-or-nothing: a failing image fails the whole call
@@ -561,9 +566,9 @@ class InferenceSession {
   Status probe_golden(const std::string& backend);
 
  private:
-  /// The async-staging latch (see the class comment): the staging task
-  /// records its result in `staged` and installs it into the model before
-  /// fulfilling `promise`; arrivals queued behind the latch read `staged`
+  /// The staging latch (see the class comment): the thread that created it
+  /// stages, records its result in `staged` and installs it into the model
+  /// before fulfilling `promise`; threads that find the latch read `staged`
   /// only after `done` is ready, which sequences the accesses.
   struct StagingLatch {
     std::promise<Status> promise;
@@ -618,10 +623,10 @@ class InferenceSession {
     /// The one staged state (see the class comment's memory model): the
     /// cores plus the image they were traced on. Guarded by submit_mutex_.
     core::PreparedModel staged;
-    /// The in-flight staging task's latch; null otherwise. While it is set
-    /// the model holds no replay schedule: staging starts only on an
-    /// unstaged model, and the task's install clears it in the same
-    /// critical section. Guarded by submit_mutex_.
+    /// The running staging's latch; null otherwise. While it is set the
+    /// model holds no replay schedule: staging starts only on an unstaged
+    /// model, and its install clears it in the same critical section.
+    /// Guarded by submit_mutex_.
     std::shared_ptr<StagingLatch> staging;
     /// Replays accumulated on schedules since replaced or evicted
     /// (counters().replay sums base + live schedule tallies).
@@ -645,64 +650,42 @@ class InferenceSession {
   /// The session-lifetime pool, created on first use with `worker_hint`
   /// workers (0 = one per hardware thread) and reused, at that fixed size,
   /// by every later pooled call regardless of hint. Any size >= 1 is
-  /// deadlock-free: every staging task is enqueued under submit_mutex_
-  /// before any task that waits on its latch, and blocking calls are
-  /// banned on workers, so no task waits on one queued behind it.
+  /// deadlock-free: a pooled task waits only on a staging latch, a latch
+  /// exists only while the thread that created it runs the staging (which
+  /// waits on nothing), and blocking calls are banned on workers.
   ThreadPool& pool_locked(std::size_t worker_hint) REQUIRES(submit_mutex_);
   /// Shape-check an image against the model's network before any staging
   /// work, so run(), submit() and the batch paths all reject a wrong-size
   /// image — first or later — with the same kInvalidArgument.
   static Status check_image_shape(const ModelState& model,
                                   std::span<const float> image);
-  /// What a pooled task builds its private model from: either the staging
-  /// latch (with a per-task shared_future copy — waiting through one
-  /// shared object from many threads is not sanctioned by the standard)
-  /// or a snapshot of the model's staged state.
-  struct StagingSource {
-    std::shared_ptr<StagingLatch> latch;  ///< non-null: staging in flight
-    std::shared_future<Status> done;      ///< this task's own future copy
-    core::PreparedModel snapshot;         ///< used when latch is null
-  };
-  /// Pick the task's staging source for `model`, starting its staging task
-  /// first if nothing is staged or staging (the future copy must be taken
-  /// under the lock).
-  StagingSource staging_source_locked(ModelState& model,
-                                      std::span<const float> image)
-      REQUIRES(submit_mutex_);
-  /// Task-side half: wait for the source and materialize the model.
-  static Status resolve_staged_model(StagingSource& source,
-                                     core::PreparedModel& model);
-  /// Stage-if-needed + enqueue: the body shared by submit() and
-  /// run_batch_parallel(). Locks submit_mutex_. Throws only for
-  /// pool-construction failure; staging and task failures come back inside
-  /// the PendingResult. `variant` (nullable) collects per-variant tallies.
+  /// The one staging path (see the class comment), for the thread that
+  /// needs `model` staged: a snapshot when it is staged, the running
+  /// staging's result when one is in flight, else this thread stages
+  /// `image` behind a new latch — frontend if missing, stage_tail_into,
+  /// check-in hook — and installs the result if its latch is still current.
+  StatusOr<core::PreparedModel> staged_model(ModelState& model,
+                                             std::span<const float> image)
+      EXCLUDES(submit_mutex_);
+  /// Enqueue: the body shared by submit() and run_batch_parallel(). Locks
+  /// submit_mutex_. Throws only for pool-construction failure; staging and
+  /// task failures come back inside the PendingResult. `variant`
+  /// (nullable) collects per-variant tallies.
   PendingResult submit_with(ModelState& model, VariantState* variant,
                             const ExecutionBackend& backend,
                             std::span<const float> image,
                             const RunOptions& options,
                             std::size_t worker_hint);
-  /// The pooled submit task body: deadline gates (dequeue, post-staging,
-  /// between attempts) and the bounded retry loop with kDataLoss
-  /// quarantine + inline restage. `image` is the task's own copy;
-  /// `enqueued` anchors the deadline.
+  /// The pooled submit task body: staged_model(), the deadline gates
+  /// (dequeue, post-staging, between attempts) and the bounded retry loop,
+  /// whose kDataLoss retry quarantines and stages again through
+  /// staged_model(). `image` is the task's own copy; `enqueued` anchors
+  /// the deadline.
   StatusOr<ExecutionResult> run_submitted(
       ModelState& model, const ExecutionBackend& backend,
       const RunOptions& options, RetryPolicy retry,
-      StagingSource& source, std::span<const float> image,
+      std::span<const float> image,
       std::chrono::steady_clock::time_point enqueued);
-  /// Rebuild a task-private prepared model from the immutable artifacts,
-  /// inline in the current pool task — never through a staging latch
-  /// (enqueueing one from inside a task deadlocks a single-worker pool).
-  /// Used after a kDataLoss quarantine (the snapshot still pins the
-  /// quarantined schedule) and after a failed staging latch.
-  Status rebuild_inline(ModelState& model, core::PreparedModel& prepared,
-                        std::span<const float> image);
-  /// Enqueue `model`'s staging task (frontend if missing + one VP trace +
-  /// replay-schedule recording, all on a private model that the task
-  /// installs into `model` when it finishes; see StagingLatch). The caller
-  /// has checked that nothing is staged or staging for this model.
-  void start_staging_locked(ModelState& model, std::span<const float> image)
-      REQUIRES(submit_mutex_);
   /// Block until `model` has no staging in flight.
   void drain_staging(ModelState& model) EXCLUDES(submit_mutex_);
   /// Record a use for LRU purposes and collect variant tallies.
@@ -744,7 +727,7 @@ class InferenceSession {
   /// lifetime): its check-ins count as uses of that model, so the budget
   /// walk never evicts the schedule a replay just ran on. Touches only
   /// checkin_state_ (set once in the constructor), so any thread —
-  /// staging tasks included — may call it, locked or not.
+  /// staging threads included — may call it, locked or not.
   void install_checkin_hook(const core::ReplaySchedule& schedule,
                             ModelState& model);
   /// Hook body: re-enforce the byte budget with `model` as the hot model.
@@ -761,18 +744,19 @@ class InferenceSession {
   /// Quarantine after detected corruption: evict the schedule and also
   /// drop the trace core with its envelopes, so nothing measured from the
   /// suspect state is served again; the next use restages from the
-  /// frontend. A staging still in flight started from the dropped core and
-  /// would carry its envelopes back, so it is detached and never installed
-  /// (tasks already queued behind it still get its result).
+  /// frontend. A staging still running may have started from the dropped
+  /// core and would carry its envelopes back, so it is detached and never
+  /// installed (threads already waiting on it still get its result).
   void quarantine_locked(ModelState& model) REQUIRES(submit_mutex_);
   /// Staging-concurrency accounting: bump in-flight (and the peak
-  /// high-water mark) when a staging pipeline task is issued...
+  /// high-water mark) when a staging starts or a prepare_async task is
+  /// issued...
   void note_staging_issued();
   /// ...and drop it when the task finishes (any exit path).
   void note_staging_done();
   /// Build the input-independent frontend core (weights -> calibration ->
-  /// loadable) for `model`. Pure apart from the atomic counters, so the
-  /// pooled staging task can run it off-thread; `calibration_image` is the
+  /// loadable) for `model`. Pure apart from the atomic counters, so a
+  /// staging thread runs it outside the lock; `calibration_image` is the
   /// model's default input (the legacy calibration image).
   std::shared_ptr<const core::FrontendArtifacts> build_frontend(
       const ModelState& model, std::span<const float> calibration_image) const;
@@ -788,13 +772,12 @@ class InferenceSession {
   const std::vector<float>& default_input_for(ModelState& model)
       EXCLUDES(submit_mutex_);
   /// The VP trace on an arbitrary prepared model whose frontend is built:
-  /// input assign + VP trace + (optionally) replay-schedule recording +
-  /// config-file/program reuse-or-regenerate. Called only from pool tasks:
-  /// the staging task and the inline rebuild after a quarantine. Reads only
-  /// the model's immutable identity (network, config); touches no session
-  /// state beyond atomic counters.
+  /// input assign + VP trace + replay-schedule recording +
+  /// config-file/program reuse-or-regenerate. Called only by staged_model()
+  /// on the staging thread. Reads only the model's immutable identity
+  /// (network, config); touches no session state beyond atomic counters.
   void stage_tail_into(const ModelState& model, core::PreparedModel& prepared,
-                       std::span<const float> image, bool record_replay) const;
+                       std::span<const float> image) const;
   /// Substitute `image` into `prepared`'s per-input surface without
   /// re-running the VP: input tensor only — the FP32 reference is cleared.
   /// Marks the shared trace as not matching the input (backends that need

@@ -4,10 +4,10 @@
 // The workers start once, at construction, and serve every submitted task
 // until the destructor drains the queue and joins them.
 //
-// Liveness: a FIFO pool of any size >= 1 cannot deadlock as long as no
-// task waits on a task queued after it. The session keeps that invariant:
-// every staging task is enqueued before any task that waits on its latch,
-// and blocking calls are banned on workers.
+// Liveness: a pool of any size >= 1 cannot deadlock as long as no task
+// waits on queued work. The session keeps that invariant: a task waits only
+// on a staging latch, which exists only while the thread that created it
+// runs the staging, and blocking calls are banned on workers.
 #pragma once
 
 #include <cstddef>

@@ -1,20 +1,22 @@
 // The async staging pipeline and session pool: submit() never runs a VP
-// trace on the calling thread (first arrival included — staging is a pool
-// task behind a latch), prepare_async() front-loads staging plus the
-// `?mode=replay` platform-envelope recording, the session pool keeps the
-// size its first pooled call gave it (a one-worker pool still stages and
-// serves in FIFO order), the serving entry paths reject wrong-size images
-// identically, and the per-worker replay arenas serve repeated replays
-// bit-exactly. Runs under the ThreadSanitizer CI job.
+// trace on the calling thread (first arrival included — the pooled task
+// stages behind the model's latch), prepare_async() front-loads staging
+// plus the `?mode=replay` platform-envelope recording, the session pool
+// keeps the size its first pooled call gave it (a one-worker pool still
+// stages and serves in FIFO order), the serving entry paths reject
+// wrong-size images identically, and the per-worker replay arenas serve
+// repeated replays bit-exactly. Runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <thread>
 
 #include "models/models.hpp"
+#include "runtime/backend_registry.hpp"
 #include "runtime/backends.hpp"
 #include "runtime/inference_session.hpp"
 #include "vp/virtual_platform.hpp"
@@ -58,6 +60,32 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
+
+/// Signals `entered`, then holds its pool worker until `open` is
+/// fulfilled, and echoes the image back. One run per gate.
+class GateBackend final : public runtime::ExecutionBackend {
+ public:
+  std::string_view name() const override { return "gate"; }
+  std::string_view description() const override {
+    return "signals entry, waits until the test opens it, echoes the image";
+  }
+  StatusOr<runtime::ExecutionResult> run(
+      const core::PreparedModel& prepared,
+      const runtime::RunOptions&) const override {
+    entered.set_value();
+    opened.wait();
+    runtime::ExecutionResult result;
+    result.backend = "gate";
+    result.output = prepared.input;
+    return result;
+  }
+
+  mutable std::promise<void> entered;
+  std::promise<void> open;
+
+ private:
+  std::shared_future<void> opened = open.get_future().share();
+};
 
 // ---------------------------------------------------------------------------
 // Wrong-size images on every serving entry path (hoisted shape check)
@@ -132,22 +160,47 @@ TEST(ShapeCheck, WrongSizeFirstImageRejectedOnBatchPaths) {
 // ---------------------------------------------------------------------------
 
 TEST(AsyncStaging, SubmitEnqueuesStagingInsteadOfTracing) {
-  InferenceSession session(models::lenet5());
-  auto pending = session.submit("vp");
-  // Deterministic evidence the async path was taken: the staging task was
-  // enqueued (counted on the calling thread) rather than executed inline.
-  EXPECT_EQ(session.counters().async_stagings, 1u);
-  ASSERT_TRUE(pending.get().is_ok());
-  EXPECT_EQ(session.counters().trace, 1u);
+  auto owned_gate = std::make_unique<GateBackend>();
+  GateBackend& gate = *owned_gate;
+  runtime::BackendRegistry registry;
+  ASSERT_TRUE(registry.add(std::make_unique<runtime::VpBackend>()).is_ok());
+  ASSERT_TRUE(registry.add(std::move(owned_gate)).is_ok());
+  InferenceSession session(models::lenet5(), {}, &registry);
+  ASSERT_TRUE(session.register_model("cold", models::lenet5()).is_ok());
 
-  // Later arrivals ride the staged artifacts: no further staging tasks,
-  // no further traces.
+  // Size the pool at one worker (staging the default model: one trace),
+  // then hold that worker with a gate request on the default model.
+  ASSERT_TRUE(session
+                  .run_batch_parallel("vp", {session.default_input()},
+                                      {.workers = 1})
+                  .is_ok());
+  ASSERT_EQ(session.pool_worker_count(), 1u);
+  auto entered = gate.entered.get_future();
+  auto blocker = session.submit("gate");
+  entered.wait();
+  const auto before = session.counters();
+  EXPECT_EQ(before.trace, 1u);
+  EXPECT_EQ(before.async_stagings, 1u);
+
+  // submit() to the cold model only enqueues: with the only worker held,
+  // nothing can stage it, so the calling thread returns without a trace.
+  auto pending = session.submit("vp?model=cold");
+  EXPECT_EQ(session.counters().trace, before.trace);
+  EXPECT_EQ(session.counters().async_stagings, before.async_stagings);
+  gate.open.set_value();
+  ASSERT_TRUE(blocker.get().is_ok());
+  ASSERT_TRUE(pending.get().is_ok());
+  EXPECT_EQ(session.counters().trace, before.trace + 1);
+  EXPECT_EQ(session.counters().async_stagings, before.async_stagings + 1);
+
+  // Later arrivals ride the staged artifacts: no further stagings, no
+  // further traces.
   const auto images = synthetic_batch(session.network(), 3, 6200);
   for (const auto& image : images) {
-    ASSERT_TRUE(session.submit("vp", image).get().is_ok());
+    ASSERT_TRUE(session.submit("vp?model=cold", image).get().is_ok());
   }
-  EXPECT_EQ(session.counters().async_stagings, 1u);
-  EXPECT_EQ(session.counters().trace, 1u);
+  EXPECT_EQ(session.counters().async_stagings, before.async_stagings + 1);
+  EXPECT_EQ(session.counters().trace, before.trace + 1);
 }
 
 TEST(AsyncStaging, SubmitBlockingTimeIsBoundedByStagingCost) {
@@ -210,7 +263,7 @@ TEST(AsyncStaging, ConcurrentSubmitsShareOneStagingTask) {
     EXPECT_EQ(result->output, expected[i].output) << "image " << i;
     EXPECT_EQ(result->cycles, expected[i].cycles) << "image " << i;
   }
-  // However the submits raced, exactly one staging task traced the VP.
+  // However the submits raced, exactly one staging traced the VP.
   EXPECT_EQ(session.counters().trace, 1u);
   EXPECT_EQ(session.counters().async_stagings, 1u);
 }
@@ -227,11 +280,11 @@ TEST(PrepareAsync, StagesArtifactsAndReplayEnvelope) {
   for (const std::string base : {"soc", "system_top"}) {
     const std::string spec = base + "?mode=replay";
     auto handle = session.prepare_async(spec, images[0]);
-    // One staging task per session: the second platform reuses the first
-    // one's trace and only records its own envelope.
-    EXPECT_EQ(session.counters().async_stagings, 1u) << base;
     const Status staged = handle.wait();
     ASSERT_TRUE(staged.is_ok()) << base << ": " << staged.to_string();
+    // One staging per session: the second platform reuses the first one's
+    // trace and only records its own envelope.
+    EXPECT_EQ(session.counters().async_stagings, 1u) << base;
     EXPECT_EQ(session.counters().trace, 1u) << base;
 
     // The `?mode=replay` platform envelope was recorded by the staging
@@ -257,7 +310,7 @@ TEST(PrepareAsync, StagesArtifactsAndReplayEnvelope) {
       EXPECT_EQ(replayed->cycles, simulated->cycles)
           << base << " image " << i;
     }
-    // No further traces or staging tasks were needed to serve the batch.
+    // No further traces or stagings were needed to serve the batch.
     EXPECT_EQ(session.counters().trace, 1u) << base;
     EXPECT_EQ(session.counters().async_stagings, 1u) << base;
 
@@ -359,8 +412,8 @@ TEST(SessionPool, OneWorkerPoolStagesAndServesInFifoOrder) {
       session.register_model("lenet5_w", models::lenet5(), other).is_ok());
 
   // Stage both models and queue every request before waiting on anything:
-  // on one worker, a request that ran ahead of the staging task it waits on
-  // would deadlock, so this only completes if the queue is FIFO.
+  // on one worker no task can wait on a staging it does not run itself, so
+  // this only completes if each task stages what it finds unstaged.
   const std::vector<std::string> fleet = {"vp", "vp?model=lenet5_w"};
   auto staging = session.prepare_async(fleet);
   std::vector<PendingResult> pending;

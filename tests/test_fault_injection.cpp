@@ -127,17 +127,19 @@ class DataLossOnceBackend final : public runtime::ExecutionBackend {
   }
 };
 
-/// Holds its pool worker until `open` is fulfilled, then echoes the
-/// image: lets a test queue tasks behind a busy single-worker pool.
+/// Signals `entered`, then holds its pool worker until `open` is
+/// fulfilled, and echoes the image: lets a test queue tasks behind a busy
+/// single-worker pool. One run per gate.
 class GateBackend final : public runtime::ExecutionBackend {
  public:
   std::string_view name() const override { return "gate"; }
   std::string_view description() const override {
-    return "waits until the test opens it, echoes the image back";
+    return "signals entry, waits until the test opens it, echoes the image";
   }
   StatusOr<runtime::ExecutionResult> run(
       const core::PreparedModel& prepared,
       const runtime::RunOptions&) const override {
+    entered.set_value();
     opened.wait();
     runtime::ExecutionResult result;
     result.backend = "gate";
@@ -145,6 +147,7 @@ class GateBackend final : public runtime::ExecutionBackend {
     return result;
   }
 
+  mutable std::promise<void> entered;
   std::promise<void> open;
 
  private:
@@ -408,7 +411,7 @@ TEST(Canary, QuarantinesDropTheSocEnvelopeAndRestageRecordsItAgain) {
   EXPECT_TRUE(session.probe_golden("soc").is_ok());
 }
 
-TEST(Canary, QuarantineDuringQueuedStagingIsNotInstalled) {
+TEST(Canary, RequestQueuedBehindAQuarantineRestagesFromTheFrontend) {
   auto owned = std::make_unique<DataLossOnceBackend>();
   DataLossOnceBackend& backend = *owned;
   auto owned_gate = std::make_unique<GateBackend>();
@@ -428,42 +431,49 @@ TEST(Canary, QuarantineDuringQueuedStagingIsNotInstalled) {
   ASSERT_EQ(session.pool_worker_count(), 1u);
   EXPECT_EQ(session.counters().envelopes, 1u);
 
-  // Queue, behind a task holding the worker: the armed request (served
-  // from the staged snapshot), then a staging task started after a budget
-  // eviction, then a request waiting on that staging. The eviction keeps
-  // the trace core, so the staging carries the recorded envelope.
+  // Queue, behind a task holding the worker: the armed request, then —
+  // after a budget eviction, which keeps the trace core and its envelope —
+  // a second request. Submitting stages nothing; each task stages what it
+  // finds unstaged when it runs.
+  auto entered = gate.entered.get_future();
   auto blocker = session.submit("gate", image);
+  entered.wait();
   backend.armed = true;
   auto failing = session.submit("soc_dataloss", image);
   session.set_replay_budget_bytes(1);
   EXPECT_EQ(session.counters().evictions, 1u);
   session.set_replay_budget_bytes(0);
   auto queued = session.submit("soc_dataloss", image);
-  EXPECT_EQ(session.counters().async_stagings, 2u);
-  // A model with a staging in flight holds no schedule.
+  EXPECT_EQ(session.counters().async_stagings, 1u);
   for (const auto& row : session.variant_stats()) EXPECT_FALSE(row.staged);
   gate.open.set_value();
   ASSERT_TRUE(blocker.get().is_ok());
 
-  // The armed request quarantines while the staging is still queued: the
-  // staging is detached and runs to completion, but is not installed.
+  // The armed request restages from the kept trace core (its envelope
+  // rides along), then fails and quarantines the model.
   const auto failed = failing.get();
   ASSERT_FALSE(failed.is_ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(session.robustness().quarantines, 1u);
-  // The request queued behind the detached staging still gets its result.
-  const auto detached = queued.get();
-  ASSERT_TRUE(detached.is_ok()) << detached.status().to_string();
-  EXPECT_EQ(detached->output, clean->front().output);
-  EXPECT_EQ(session.counters().trace, 2u);
-  EXPECT_EQ(session.counters().envelopes, 1u);
 
-  // So the next request stages again from the frontend and records the
-  // envelope afresh instead of serving the dropped one.
-  const auto restaged = session.run("soc_dataloss", image);
+  // The request queued behind the quarantine stages from the frontend: a
+  // fresh trace core, whose envelope it records afresh instead of serving
+  // the dropped one.
+  const auto restaged = queued.get();
   ASSERT_TRUE(restaged.is_ok()) << restaged.status().to_string();
   EXPECT_EQ(restaged->output, clean->front().output);
   EXPECT_EQ(restaged->cycles, clean->front().cycles);
+  EXPECT_EQ(session.counters().async_stagings, 3u);
+  EXPECT_EQ(session.counters().trace, 3u);
+  EXPECT_EQ(session.counters().weights, 1u);
+  EXPECT_EQ(session.counters().envelopes, 2u);
+
+  // It installed what it staged, so the next request replays without
+  // tracing or recording again.
+  const auto next = session.run("soc_dataloss", image);
+  ASSERT_TRUE(next.is_ok()) << next.status().to_string();
+  EXPECT_EQ(next->output, clean->front().output);
+  EXPECT_EQ(next->cycles, clean->front().cycles);
   EXPECT_EQ(session.counters().async_stagings, 3u);
   EXPECT_EQ(session.counters().trace, 3u);
   EXPECT_EQ(session.counters().envelopes, 2u);
@@ -478,7 +488,7 @@ TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {
 
   InferenceSession session(models::lenet5());
   ASSERT_TRUE(session.set_fault_plan("flip:1+seed:17").is_ok());
-  session.set_retry_policy({/*max_attempts=*/2, /*backoff_ms=*/0});
+  session.set_retry_policy({/*max_attempts=*/2});
 
   // Stage with a different image first: the target image then takes the
   // repack fast path, whose functional result is a replay — the path the
@@ -487,8 +497,8 @@ TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {
   ASSERT_TRUE(session.submit("vp", image_a).get().is_ok());
 
   // Attempt 1 replays a corrupted arena -> the checkout gate reports
-  // kDataLoss -> quarantine + inline restage; attempt 2 serves from the
-  // rebuilt artifacts and must match the fault-free oracle bit for bit.
+  // kDataLoss -> quarantine; attempt 2 restages on the target image, serves
+  // from that trace and must match the fault-free oracle bit for bit.
   auto pending = session.submit("vp", image);
   auto result = pending.get();
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
@@ -502,9 +512,10 @@ TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {
   ASSERT_NE(session.fault_injector(), nullptr);
   EXPECT_GE(session.fault_injector()->total_injected(), 1u);
 
-  // run() takes the same path and honours the same policy: restage on
-  // image_a (served from its trace, no replay to corrupt), then the target
-  // image's flipped replay is quarantined and retried once.
+  // run() takes the same path and honours the same policy: image_a replays
+  // the schedule the retry above installed, is flipped, and restages on
+  // image_a; then the target image's flipped replay is quarantined and
+  // retried once.
   ASSERT_TRUE(session.run("vp", image_a).is_ok());
   const std::uint64_t retries = session.robustness().retries;
   const auto ran = session.run("vp", image);
@@ -513,7 +524,57 @@ TEST(Retry, WeightFlipQuarantinesRestagesAndServesBitExact) {
   EXPECT_EQ(session.robustness().retries, retries + 1);
 }
 
-TEST(Retry, InjectedStagingFailureIsTypedAndRetriesToSuccess) {
+TEST(Retry, DataLossRetryRestagesThroughTheModelLatchAndInstalls) {
+  auto owned = std::make_unique<DataLossOnceBackend>();
+  DataLossOnceBackend& backend = *owned;
+  runtime::BackendRegistry registry;
+  ASSERT_TRUE(registry.add(std::move(owned)).is_ok());
+  const auto image = synthetic_image(9650);
+  InferenceSession session(models::lenet5(), {}, &registry);
+  session.set_retry_policy({/*max_attempts=*/2});
+
+  runtime::BatchOptions one_worker;
+  one_worker.workers = 1;
+  const auto clean =
+      session.run_batch_parallel("soc_dataloss", {image}, one_worker);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  ASSERT_EQ(session.pool_worker_count(), 1u);
+  EXPECT_EQ(session.counters().trace, 1u);
+  EXPECT_EQ(session.counters().envelopes, 1u);
+
+  // Attempt 1 reports kDataLoss and quarantines the model. On the one
+  // worker the retry stages the model itself, through its latch, and
+  // installs the schedule it records.
+  backend.armed = true;
+  const auto retried = session.run("soc_dataloss", image);
+  ASSERT_TRUE(retried.is_ok()) << retried.status().to_string();
+  EXPECT_EQ(retried->output, clean->front().output);
+  EXPECT_EQ(retried->cycles, clean->front().cycles);
+  const auto robust = session.robustness();
+  EXPECT_EQ(robust.data_loss, 1u);
+  EXPECT_EQ(robust.quarantines, 1u);
+  EXPECT_EQ(robust.retries, 1u);
+  EXPECT_EQ(robust.restages, 1u);
+  EXPECT_EQ(session.counters().trace, 2u);
+  EXPECT_EQ(session.counters().envelopes, 2u);
+
+  // The next request replays that schedule: no third trace, no third
+  // envelope, and the answer matches the cycle-accurate oracle.
+  const auto other = synthetic_image(9651);
+  InferenceSession oracle(models::lenet5());
+  const auto expected =
+      oracle.run("soc?mode=cycle_accurate&decode_cache=off", other);
+  ASSERT_TRUE(expected.is_ok()) << expected.status().to_string();
+  const auto next = session.run("soc_dataloss", other);
+  ASSERT_TRUE(next.is_ok()) << next.status().to_string();
+  EXPECT_EQ(next->output, expected->output);
+  EXPECT_EQ(next->cycles, expected->cycles);
+  EXPECT_EQ(session.counters().trace, 2u);
+  EXPECT_EQ(session.counters().envelopes, 2u);
+  EXPECT_EQ(session.robustness().restages, 1u);
+}
+
+TEST(Retry, InjectedStagingFailureIsTypedOnEveryAttempt) {
   const auto image = synthetic_image(9700);
   {
     // Without retry the injected staging failure surfaces as typed
@@ -526,22 +587,20 @@ TEST(Retry, InjectedStagingFailureIsTypedAndRetriesToSuccess) {
     EXPECT_GE(session.robustness().staging_faults, 1u);
   }
   {
-    // With retry, the second attempt rebuilds inline from the immutable
-    // artifacts (the injector only arms staging tasks) and succeeds.
-    InferenceSession oracle(models::lenet5());
-    const auto expected = oracle.run("vp", image);
-    ASSERT_TRUE(expected.is_ok());
-
+    // With retry, the retry stages through the same path, and under
+    // `staging:1` every staging fails: both attempts answer typed
+    // kUnavailable and nothing is traced.
     InferenceSession session(models::lenet5());
     ASSERT_TRUE(session.set_fault_plan("staging:1+seed:24").is_ok());
-    session.set_retry_policy({/*max_attempts=*/2, /*backoff_ms=*/0});
+    session.set_retry_policy({/*max_attempts=*/2});
     auto result = session.submit("vp", image).get();
-    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-    EXPECT_EQ(result->output, expected->output);
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
     const auto robust = session.robustness();
-    EXPECT_GE(robust.staging_faults, 1u);
-    EXPECT_GE(robust.retries, 1u);
-    EXPECT_GE(robust.restages, 1u);
+    EXPECT_EQ(robust.staging_faults, 2u);
+    EXPECT_EQ(robust.retries, 1u);
+    EXPECT_EQ(robust.restages, 0u);
+    EXPECT_EQ(session.counters().trace, 0u);
   }
 }
 
@@ -572,7 +631,7 @@ TEST(Degraded, StandingFaultPlanConvergesToAPinnedOkCount) {
 
   InferenceSession session(models::lenet5());
   ASSERT_TRUE(session.set_fault_plan("replay:0.15+flip:0.05+seed:77").is_ok());
-  session.set_retry_policy({/*max_attempts=*/3, /*backoff_ms=*/0});
+  session.set_retry_policy({/*max_attempts=*/3});
   runtime::BatchOptions one_worker;
   one_worker.workers = 1;
 
@@ -872,7 +931,7 @@ TEST(Chaos, ServerStaysUpAndEveryResponseIsBitExactOrTyped) {
   ServerFixture fixture;
   ASSERT_TRUE(
       fixture.session().set_fault_plan("replay:0.2+flip:0.1+seed:33").is_ok());
-  fixture.session().set_retry_policy({/*max_attempts=*/3, /*backoff_ms=*/0});
+  fixture.session().set_retry_policy({/*max_attempts=*/3});
 
   std::atomic<int> wire_failures{0};
   std::atomic<int> untyped{0};

@@ -69,13 +69,13 @@ TEST(MultiVariant, FourVariantsStageConcurrentlyOnOneSession) {
   // evidence: all four stagings were in flight before any completed,
   // whatever the worker count — the vector prepare only enqueues.
   EXPECT_GE(session.counters().staging_peak, 4u);
-  // Distinct models stage behind distinct latches (one shared-artifact
-  // task each); the two specs of a model dedup behind its latch.
-  EXPECT_EQ(session.counters().async_stagings, 2u);
 
   for (std::size_t i = 0; i < handles.size(); ++i) {
     EXPECT_TRUE(handles[i].wait().is_ok()) << fleet[i];
   }
+  // Distinct models stage behind distinct latches (one staging each); the
+  // two specs of a model dedup behind its latch.
+  EXPECT_EQ(session.counters().async_stagings, 2u);
 
   // One session now holds all four staged variants.
   const auto stats = session.variant_stats();

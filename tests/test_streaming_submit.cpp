@@ -395,8 +395,8 @@ TEST(Submit, SessionDestructionDrainsInFlightWork) {
                                         {.workers = 2})
                     .is_ok());
     for (int i = 0; i < 2; ++i) parked.push_back(session.submit("gated", images[i]));
-    // lenet5_b is not staged yet: its staging task queues behind the
-    // parked workers, and every request queues behind its staging latch.
+    // lenet5_b is not staged yet: its requests queue behind the parked
+    // workers, and the first to run stages it for the others.
     for (const auto& image : images) {
       pending.push_back(session.submit("vp?model=lenet5_b", image));
     }
