@@ -235,13 +235,6 @@ struct ReplaySchedule {
     return engine_.release_free_arenas();
   }
 
-  /// Install (nullptr clears) the engine's post-check-in hook (see
-  /// vp::ReplayEngine::set_checkin_hook), so the session can attach its
-  /// budget-enforcement callback. Thread-safe.
-  void set_checkin_hook(std::function<void()> hook) const {
-    engine_.set_checkin_hook(std::move(hook));
-  }
-
  private:
   /// Internally synchronized, so every accessor above may reach it from a
   /// const schedule on any thread.

@@ -144,9 +144,7 @@ Status StagingHandle::wait() {
 InferenceSession::InferenceSession(compiler::Network network,
                                    core::FlowConfig config,
                                    const BackendRegistry* registry)
-    : registry_(registry),
-      checkin_state_(std::make_shared<ReplayCheckinState>()) {
-  checkin_state_->session = this;
+    : registry_(registry) {
   std::string name = network.name();
   auto state =
       std::make_unique<ModelState>(name, std::move(network), config);
@@ -154,19 +152,9 @@ InferenceSession::InferenceSession(compiler::Network network,
   models_.emplace(std::move(name), std::move(state));
 }
 
-InferenceSession::~InferenceSession() {
-  // Detach from the check-in hooks before anything else dies: holding the
-  // state mutex waits out any hook mid-call, and hooks firing afterwards
-  // (the pool drain during member destruction, or schedules the caller
-  // still holds) see the null session and return without touching freed
-  // members. The lock must be dropped before members destruct — a hook
-  // fired by a draining task blocks on it, and pool_'s destructor would
-  // wait on that task.
-  {
-    MutexLock lock(checkin_state_->mutex);
-    checkin_state_->session = nullptr;
-  }
-}
+// The pool is the last member declared, so it is destroyed first: pooled
+// tasks drain while everything they touch is still alive.
+InferenceSession::~InferenceSession() = default;
 
 Status InferenceSession::register_model(std::string name,
                                         compiler::Network network,
@@ -560,7 +548,6 @@ StatusOr<core::PreparedModel> InferenceSession::staged_model(
         base.frontend = build_frontend(model, calibration_image);
       }
       stage_tail_into(model, base, image);
-      install_checkin_hook(*base.replay, model);
       latch->staged = base;
       return Status::ok();
     } catch (const StatusError& e) {
@@ -660,7 +647,9 @@ void InferenceSession::quarantine_locked(ModelState& model) {
 }
 
 void InferenceSession::enforce_budget_locked(ModelState* just_used) {
-  if (replay_budget_bytes_ == 0) return;
+  const std::uint64_t budget =
+      replay_budget_bytes_.load(std::memory_order_relaxed);
+  if (budget == 0) return;
   const auto total = [&] {
     std::uint64_t bytes = 0;
     for (const auto& [name, state] : models_) {
@@ -668,7 +657,7 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
     }
     return bytes;
   };
-  if (total() <= replay_budget_bytes_) return;
+  if (total() <= budget) return;
 
   // Cold models (never the one driving this use), least recently used
   // first.
@@ -686,7 +675,7 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
   // by the next replay), so it always goes before any schedule.
   for (ModelState* model : cold) {
     model->staged.replay->release_arenas();
-    if (total() <= replay_budget_bytes_) return;
+    if (total() <= budget) return;
   }
 
   // Pass 2: evict cold schedules outright (LRU order). No cold model has a
@@ -694,7 +683,7 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
   // schedule (see ModelState::staging).
   for (ModelState* model : cold) {
     evict_schedule_locked(*model);
-    if (total() <= replay_budget_bytes_) return;
+    if (total() <= budget) return;
   }
 
   // Pass 3: the hot model sheds its own idle arenas; its schedule is never
@@ -704,38 +693,11 @@ void InferenceSession::enforce_budget_locked(ModelState* just_used) {
   }
 }
 
-void InferenceSession::install_checkin_hook(
-    const core::ReplaySchedule& schedule, ModelState& model) {
-  // The hook captures the shared control block, never `this`: schedules
-  // (and their engines) routinely outlive the session inside caller-held
-  // PreparedModel snapshots, and must fire a no-op after detach. The
-  // ModelState pointer rides along under the same gate (nothing ever
-  // erases a model node while the session lives).
-  auto state = checkin_state_;
-  schedule.set_checkin_hook([state, model = &model] {
-    if (state->budget.load(std::memory_order_relaxed) == 0) return;
-    MutexLock lock(state->mutex);
-    if (state->session == nullptr) return;
-    state->session->on_replay_checkin(*model);
-  });
-}
-
-void InferenceSession::on_replay_checkin(ModelState& model) {
-  MutexLock lock(submit_mutex_);
-  // The checking-in model is the hot one: the walk sheds cold models first
-  // and at most drops this model's idle arenas — including the one this
-  // check-in just returned — never its schedule.
-  enforce_budget_locked(&model);
-}
-
 void InferenceSession::set_replay_budget_bytes(std::uint64_t budget_bytes) {
   MutexLock lock(submit_mutex_);
-  replay_budget_bytes_ = budget_bytes;
-  checkin_state_->budget.store(budget_bytes, std::memory_order_relaxed);
+  replay_budget_bytes_.store(budget_bytes, std::memory_order_relaxed);
   // Enforce immediately so a freshly lowered budget takes effect without
-  // waiting for the next request. Every schedule already carries its
-  // check-in hook (the staging thread installs it), idle while no budget is
-  // set.
+  // waiting for the next request.
   enforce_budget_locked(nullptr);
 }
 
@@ -1029,7 +991,6 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
                       "exception");
       }
     }();
-    if (result.is_ok()) return result;
     const StatusCode code = result.status().code();
     if (code == StatusCode::kDataLoss) {
       // Detected corruption: quarantine the shared schedule and trace core
@@ -1042,6 +1003,15 @@ StatusOr<ExecutionResult> InferenceSession::run_submitted(
       quarantine_locked(model);
       ready = false;
     }
+    // The attempt's replay has returned its arena, failed or not: reclaim
+    // any arena growth before the result is delivered. This model is the
+    // hot one, so the walk sheds at most its idle arenas, never its
+    // schedule.
+    if (replay_budget_bytes_.load(std::memory_order_relaxed) != 0) {
+      MutexLock lock(submit_mutex_);
+      enforce_budget_locked(&model);
+    }
+    if (result.is_ok()) return result;
     if (!is_transient(code) || attempt >= max_attempts || expired()) {
       return result;
     }

@@ -69,8 +69,10 @@
 // Byte-budgeted residency: a long-lived server would otherwise hold every
 // model's replay schedule and per-worker arenas forever.
 // set_replay_budget_bytes() bounds the total (schedule bytes + resident
-// arena bytes + recorded SoC envelope bytes across models); when a use
-// pushes the total over budget, least-recently-used models shed their
+// arena bytes + recorded SoC envelope bytes across models), enforced at
+// every submit (before the request's model stages) and at the end of
+// every pooled attempt — the one place the session's replays grow arenas.
+// When the total is over budget, least-recently-used models shed their
 // arenas first (pure cache: cheap to drop, rebuilt by the next replay),
 // then their schedules (re-staged transparently — one re-trace — on next
 // use; the input-independent SoC envelopes stay, so the restage never
@@ -423,11 +425,13 @@ class InferenceSession {
   /// Bound the bytes replay residency may hold across all models:
   /// schedule bytes + resident arena bytes + recorded envelope bytes,
   /// summed. 0 (the default) means unlimited. Enforcement is LRU and runs
-  /// on use (submit/resolve paths) and when the budget is (re)set: cold
+  /// at every submit, at the end of every pooled attempt (which reclaims
+  /// the arenas its own replay grew) and when the budget is (re)set: cold
   /// models drop arenas first, then whole schedules — which re-stage
   /// transparently (one re-trace, no cycle-accurate SoC run) on their next
-  /// use — and the hot model sheds idle arenas last. The bound
-  /// is best-effort: snapshots held by in-flight tasks keep dropped cores
+  /// use — and the hot model sheds idle arenas last. A caller's own
+  /// replays on a held prepare() snapshot do not enforce. The bound is
+  /// best-effort: snapshots held by in-flight tasks keep dropped cores
   /// alive until those tasks finish. Thread-safe.
   void set_replay_budget_bytes(std::uint64_t budget_bytes);
   /// Current replay residency (schedule + arena + envelope bytes across
@@ -662,8 +666,9 @@ class InferenceSession {
   /// The one staging path (see the class comment), for the thread that
   /// needs `model` staged: a snapshot when it is staged, the running
   /// staging's result when one is in flight, else this thread stages
-  /// `image` behind a new latch — frontend if missing, stage_tail_into,
-  /// check-in hook — and installs the result if its latch is still current.
+  /// `image` behind a new latch — frontend if missing, then
+  /// stage_tail_into — and installs the result if its latch is still
+  /// current.
   StatusOr<core::PreparedModel> staged_model(ModelState& model,
                                              std::span<const float> image)
       EXCLUDES(submit_mutex_);
@@ -679,8 +684,10 @@ class InferenceSession {
   /// The pooled submit task body: staged_model(), the deadline gates
   /// (dequeue, post-staging, between attempts) and the bounded retry loop,
   /// whose kDataLoss retry quarantines and stages again through
-  /// staged_model(). `image` is the task's own copy; `enqueued` anchors
-  /// the deadline.
+  /// staged_model(). Every attempt's exit, failed or not, enforces the
+  /// replay budget with `model` as the hot model, so the arenas the
+  /// attempt grew are reclaimed before its result is delivered. `image` is
+  /// the task's own copy; `enqueued` anchors the deadline.
   StatusOr<ExecutionResult> run_submitted(
       ModelState& model, const ExecutionBackend& backend,
       const RunOptions& options, RetryPolicy retry,
@@ -709,32 +716,6 @@ class InferenceSession {
   /// but are never evicted here: each pass is bounded, so a total that only
   /// envelopes keep over budget ends the walk over budget.
   void enforce_budget_locked(ModelState* just_used) REQUIRES(submit_mutex_);
-  /// Shared control block between the session and the replay-engine
-  /// check-in hooks it installs. Hooks capture the shared_ptr, never the
-  /// session: a schedule (and its engine) outliving the session fires a
-  /// no-op once ~InferenceSession has detached, and the detach itself
-  /// waits out any hook mid-flight (it holds `mutex` while calling in).
-  struct ReplayCheckinState {
-    Mutex mutex;
-    /// Null once detached.
-    InferenceSession* session GUARDED_BY(mutex) = nullptr;
-    /// Lock-free mirror of replay_budget_bytes_, so the per-image hook
-    /// costs one relaxed load while no budget is set.
-    std::atomic<std::uint64_t> budget{0};
-  };
-  /// Attach the budget-enforcement check-in hook to `schedule`'s engine.
-  /// `model` is the schedule's owner (map-pinned for the session
-  /// lifetime): its check-ins count as uses of that model, so the budget
-  /// walk never evicts the schedule a replay just ran on. Touches only
-  /// checkin_state_ (set once in the constructor), so any thread —
-  /// staging threads included — may call it, locked or not.
-  void install_checkin_hook(const core::ReplaySchedule& schedule,
-                            ModelState& model);
-  /// Hook body: re-enforce the byte budget with `model` as the hot model.
-  /// Runs on the replaying worker right after its arena check-in, so a
-  /// run's own arena growth is reclaimed at arena return, not on the next
-  /// submit.
-  void on_replay_checkin(ModelState& model) EXCLUDES(submit_mutex_);
   /// Budget eviction: drop `model`'s replay schedule — and with it the
   /// arenas and packed weights — (folding its replay tally), force a
   /// re-trace on next use, and mark its staged variants evicted. The trace
@@ -806,16 +787,14 @@ class InferenceSession {
   /// the state it guards so the annotations below may name it.
   mutable Mutex submit_mutex_;
 
-  /// 0 = unlimited.
-  std::uint64_t replay_budget_bytes_ GUARDED_BY(submit_mutex_) = 0;
+  /// 0 = unlimited. Atomic so a request with no budget set checks it with
+  /// one relaxed load, without the lock.
+  std::atomic<std::uint64_t> replay_budget_bytes_{0};
   RetryPolicy retry_policy_ GUARDED_BY(submit_mutex_);
   std::atomic<std::uint32_t> default_deadline_ms_{0};
   /// Session-level fault injector (null = no plan); tasks capture their
   /// own shared_ptr copy at enqueue.
   std::shared_ptr<fault::Injector> session_fault_ GUARDED_BY(submit_mutex_);
-  /// Shared with every installed check-in hook; see ReplayCheckinState.
-  /// Set once in the constructor, immutable after — unannotated.
-  std::shared_ptr<ReplayCheckinState> checkin_state_;
   /// LRU clock.
   std::uint64_t use_tick_ GUARDED_BY(submit_mutex_) = 0;
   /// Registered models, default model included. Node-based + unique_ptr:

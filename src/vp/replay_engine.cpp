@@ -265,23 +265,8 @@ ReplayEngine::Arena* ReplayEngine::acquire(
 }
 
 void ReplayEngine::release(Arena* arena) {
-  std::shared_ptr<const std::function<void()>> hook;
-  {
-    MutexLock lock(mutex_);
-    free_.push_back(arena);
-    hook = checkin_hook_;
-  }
-  // Fire outside the lock: the hook is allowed to walk resident_bytes()
-  // or call release_free_arenas() on this very engine.
-  if (hook != nullptr && *hook) (*hook)();
-}
-
-void ReplayEngine::set_checkin_hook(std::function<void()> hook) {
-  auto shared = hook ? std::make_shared<const std::function<void()>>(
-                           std::move(hook))
-                     : nullptr;
   MutexLock lock(mutex_);
-  checkin_hook_ = std::move(shared);
+  free_.push_back(arena);
 }
 
 std::uint64_t ReplayEngine::resident_bytes() const {

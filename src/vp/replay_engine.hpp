@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -101,16 +100,6 @@ class ReplayEngine {
   /// rebuilds an arena from the loadable on the next acquire. Thread-safe.
   std::uint64_t release_free_arenas();
 
-  /// Install (nullptr clears) a hook fired after every arena check-in,
-  /// outside the engine lock — so the hook may call back into the engine
-  /// (resident_bytes, release_free_arenas) or take its own locks. This is
-  /// the byte-budget enforcement point that reclaims a replay's *own*
-  /// arena growth at arena return rather than on the next request. The
-  /// hook must not call run() (check-in would recurse). Thread-safe; an
-  /// in-flight check-in may still fire the hook it copied before a
-  /// concurrent replacement.
-  void set_checkin_hook(std::function<void()> hook);
-
  private:
   class Arena;
   struct Baseline;
@@ -127,10 +116,6 @@ class ReplayEngine {
   /// Post-preload page images shared by every arena (null while none is
   /// built).
   std::shared_ptr<const Baseline> baseline_ GUARDED_BY(mutex_);
-  /// Post-check-in hook (see set_checkin_hook). shared_ptr so release()
-  /// can copy it under the lock and invoke it after unlocking.
-  std::shared_ptr<const std::function<void()>> checkin_hook_
-      GUARDED_BY(mutex_);
   std::atomic<std::uint32_t> arenas_built_{0};
   std::atomic<std::uint64_t> images_replayed_{0};
   std::atomic<std::uint64_t> pages_restored_{0};

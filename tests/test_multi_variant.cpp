@@ -290,12 +290,13 @@ TEST(MultiVariant, EvictedModelKeepsItsEnvelopeBytesResident) {
   EXPECT_EQ(session.replay_resident_bytes(), 2 * envelope_bytes);
 }
 
-TEST(MultiVariant, CheckinHookReclaimsOwnArenaGrowthAtReturn) {
+TEST(MultiVariant, BurstArenaGrowthIsReclaimedBeforeDelivery) {
   // A concurrent burst grows the replay engine's arena pool (one arena per
-  // simultaneously replaying worker). The post-check-in budget hook must
-  // walk that surplus back at arena *return* — so once the burst's last
-  // result is delivered, residency is already under budget again with no
-  // further submit acting as the enforcement point.
+  // simultaneously replaying worker). Each pooled attempt enforces the
+  // budget after its replay returns its arena and before its result is
+  // delivered — so once the burst's last result is delivered, residency is
+  // already under budget again with no further submit acting as the
+  // enforcement point.
   InferenceSession session(models::lenet5());
   const auto image =
       compiler::synthetic_input(models::lenet5().input_shape(), 8400);
@@ -304,7 +305,7 @@ TEST(MultiVariant, CheckinHookReclaimsOwnArenaGrowthAtReturn) {
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
 
   // Budget = steady state (schedule + the one arena the first replay
-  // built). Burst growth beyond it is exactly what the hook reclaims.
+  // built). Burst growth beyond it is exactly what the attempts reclaim.
   const std::uint64_t budget = session.replay_resident_bytes();
   ASSERT_GT(budget, 0u);
   session.set_replay_budget_bytes(budget);
@@ -318,12 +319,69 @@ TEST(MultiVariant, CheckinHookReclaimsOwnArenaGrowthAtReturn) {
     EXPECT_EQ(result->output, first->output);
   }
 
-  // Every check-in hook fired inside its replay, before the result was
+  // Every attempt enforced after its replay, before its result was
   // delivered: the surplus arenas are gone without another request.
   EXPECT_LE(session.replay_resident_bytes(), budget);
-  // The checking-in model is the budget walk's hot model: its schedule is
+  // The attempt's own model is the budget walk's hot model: its schedule is
   // shed-arenas-only, never evicted mid-burst.
   EXPECT_EQ(session.counters().evictions, 0u);
+}
+
+TEST(MultiVariant, FailedBurstArenaGrowthIsReclaimedBeforeDelivery) {
+  // Failed attempts enforce too: under `replay:1` every replay checks out
+  // (and so may build) an arena, then fails before producing an answer.
+  InferenceSession session(models::lenet5());
+  const auto image =
+      compiler::synthetic_input(models::lenet5().input_shape(), 8450);
+  ASSERT_TRUE(session.prepare_async("soc", image).wait().is_ok());
+  ASSERT_TRUE(session.submit("soc", image).get().is_ok());
+  const std::uint64_t budget = session.replay_resident_bytes();
+  ASSERT_GT(budget, 0u);
+  session.set_replay_budget_bytes(budget);
+  ASSERT_TRUE(session.set_fault_plan("replay:1+seed:41").is_ok());
+
+  std::vector<PendingResult> burst;
+  burst.reserve(8);
+  for (int i = 0; i < 8; ++i) burst.push_back(session.submit("soc", image));
+  for (auto& pending : burst) {
+    const auto result = pending.get();
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  }
+
+  EXPECT_LE(session.replay_resident_bytes(), budget);
+  EXPECT_EQ(session.counters().evictions, 0u);
+}
+
+TEST(MultiVariant, SnapshotOutlivesItsBudgetedSession) {
+  // A prepare() snapshot shares the session's replay schedule and engine.
+  // Destroying the session under a budget leaves the snapshot a
+  // self-contained model: it still replays, bit-exactly with the answer
+  // the session served.
+  const auto image =
+      compiler::synthetic_input(models::lenet5().input_shape(), 8700);
+  core::PreparedModel snapshot;
+  std::vector<float> served;
+  runtime::RunOptions options;
+  {
+    InferenceSession session(models::lenet5());
+    const auto first = session.submit("soc", image).get();
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    session.set_replay_budget_bytes(session.replay_resident_bytes());
+    snapshot = session.prepare(image);
+    const auto result = session.submit("soc", image).get();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    served = result->output;
+    options.flow = session.config();
+  }
+
+  const auto backend = runtime::BackendRegistry::global().find("soc");
+  ASSERT_TRUE(backend.is_ok());
+  for (int i = 0; i < 2; ++i) {
+    const auto result = (*backend)->run(snapshot, options);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(result->output, served);
+  }
 }
 
 TEST(MultiVariant, ZeroBudgetMeansUnbounded) {
