@@ -23,24 +23,6 @@ void IntervalSet::insert(std::uint64_t begin, std::uint64_t end) {
   intervals_.emplace(begin, end);
 }
 
-bool IntervalSet::covers(std::uint64_t begin, std::uint64_t end) const {
-  if (begin >= end) return true;
-  auto it = intervals_.upper_bound(begin);
-  if (it == intervals_.begin()) return false;
-  --it;
-  return it->first <= begin && it->second >= end;
-}
-
-bool IntervalSet::intersects(std::uint64_t begin, std::uint64_t end) const {
-  if (begin >= end) return false;
-  auto it = intervals_.upper_bound(begin);
-  if (it != intervals_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > begin) return true;
-  }
-  return it != intervals_.end() && it->first < end;
-}
-
 std::vector<std::pair<std::uint64_t, std::uint64_t>> IntervalSet::gaps(
     std::uint64_t begin, std::uint64_t end) const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -57,12 +39,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> IntervalSet::gaps(
   }
   if (cursor < end) out.emplace_back(cursor, end);
   return out;
-}
-
-std::uint64_t IntervalSet::covered_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [begin, end] : intervals_) total += end - begin;
-  return total;
 }
 
 }  // namespace nvsoc

@@ -14,24 +14,12 @@ class IntervalSet {
   /// Insert [begin, end); coalesces with neighbours.
   void insert(std::uint64_t begin, std::uint64_t end);
 
-  /// True when [begin, end) is fully covered.
-  bool covers(std::uint64_t begin, std::uint64_t end) const;
-
-  /// True when any byte of [begin, end) is covered.
-  bool intersects(std::uint64_t begin, std::uint64_t end) const;
-
   /// Sub-ranges of [begin, end) NOT covered by the set, in order.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps(
       std::uint64_t begin, std::uint64_t end) const;
 
-  std::uint64_t covered_bytes() const;
   std::size_t interval_count() const { return intervals_.size(); }
   bool empty() const { return intervals_.empty(); }
-
-  /// The coalesced [begin, end) intervals, in address order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals() const {
-    return {intervals_.begin(), intervals_.end()};
-  }
 
  private:
   std::map<std::uint64_t, std::uint64_t> intervals_;  ///< begin -> end

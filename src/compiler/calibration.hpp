@@ -26,15 +26,13 @@ class CalibrationTable {
   /// Scale such that real_value ~= scale * int8_value.
   float blob_scale(const std::string& blob) const;
   void set_blob_scale(const std::string& blob, float scale);
-  bool has_blob(const std::string& blob) const {
-    return scales_.contains(blob);
-  }
 
   const std::map<std::string, float>& all() const { return scales_; }
 
   /// Text round-trip ("<blob> <scale>" per line), the distributable
   /// calibration-table artifact.
   std::string to_text() const;
+  /// The reader half of the calibration-table artifact (round-trip tests).
   static CalibrationTable from_text(const std::string& text);
 
  private:

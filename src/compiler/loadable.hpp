@@ -68,8 +68,10 @@ struct Loadable {
 
   // --- serialisation -------------------------------------------------------
   void serialize(std::ostream& os) const;
+  /// The loader half of the tool flow's loadable format (round-trip tests).
   static Loadable deserialize(std::istream& is);
   std::vector<std::uint8_t> to_bytes() const;
+  /// The loader half of the tool flow's loadable format (round-trip tests).
   static Loadable from_bytes(std::span<const std::uint8_t> bytes);
 };
 

@@ -268,10 +268,6 @@ const BlobShape& Network::blob_shape(const std::string& blob) const {
   return it->second;
 }
 
-bool Network::has_blob(const std::string& blob) const {
-  return blob_shapes_.contains(blob);
-}
-
 std::optional<std::string> Network::producer_of(const std::string& blob) const {
   const auto it = blob_producer_.find(blob);
   if (it == blob_producer_.end()) return std::nullopt;

@@ -126,7 +126,6 @@ class Network {
 
   /// Shape of any blob (input or a layer top). Computed on construction.
   const BlobShape& blob_shape(const std::string& blob) const;
-  bool has_blob(const std::string& blob) const;
 
   /// Producing layer of a blob (nullopt for the input blob).
   std::optional<std::string> producer_of(const std::string& blob) const;

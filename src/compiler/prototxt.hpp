@@ -30,7 +30,8 @@ class PrototxtError : public std::runtime_error {
 Network parse_prototxt(const std::string& text);
 
 /// Render a Network as deploy-prototxt text (round-trips through
-/// parse_prototxt, modulo in-place blob naming).
+/// parse_prototxt, modulo in-place blob naming): the writer half of the
+/// tool flow's network format, which the round-trip tests check.
 std::string write_prototxt(const Network& network);
 
 }  // namespace nvsoc::compiler

@@ -15,14 +15,6 @@ const LayerWeights& NetWeights::at(const std::string& layer) const {
   return it->second;
 }
 
-LayerWeights& NetWeights::at(const std::string& layer) {
-  const auto it = by_layer_.find(layer);
-  if (it == by_layer_.end()) {
-    throw std::runtime_error("no weights for layer " + layer);
-  }
-  return it->second;
-}
-
 NetWeights NetWeights::synthetic(const Network& network, std::uint64_t seed) {
   NetWeights out;
   Rng rng(seed);

@@ -27,7 +27,6 @@ struct LayerWeights {
 class NetWeights {
  public:
   const LayerWeights& at(const std::string& layer) const;
-  LayerWeights& at(const std::string& layer);
   bool contains(const std::string& layer) const {
     return by_layer_.contains(layer);
   }

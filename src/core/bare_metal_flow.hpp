@@ -191,6 +191,7 @@ struct ReplaySchedule {
   /// session's golden probe quarantines a schedule whose ops were
   /// silently corrupted in memory.
   std::uint64_t ops_checksum = 0;
+  /// Fault detection: the golden probe's first canary.
   bool ops_intact() const;
 
   /// The schedule's session-lifetime functional replay engine, built with

@@ -165,11 +165,6 @@ std::optional<Injector::Corruption> Injector::fire_corruption(
   return corruption;
 }
 
-std::uint64_t Injector::decisions(Kind kind) const {
-  return next_index_[static_cast<std::size_t>(kind)].load(
-      std::memory_order_relaxed);
-}
-
 std::uint64_t Injector::injected(Kind kind) const {
   return injected_[static_cast<std::size_t>(kind)].load(
       std::memory_order_relaxed);

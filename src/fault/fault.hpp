@@ -101,8 +101,8 @@ class Injector {
   };
   std::optional<Corruption> fire_corruption(std::uint64_t region_bytes);
 
-  /// Decisions taken / faults injected, per kind and total.
-  std::uint64_t decisions(Kind kind) const;
+  /// Faults injected, per kind and total. The per-kind count is what the
+  /// fault-detection tests hold each detected fault against.
   std::uint64_t injected(Kind kind) const;
   std::uint64_t total_injected() const;
 

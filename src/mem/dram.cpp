@@ -120,21 +120,4 @@ void Dram::read_bytes(Addr addr, std::span<std::uint8_t> out) const {
   }
 }
 
-std::uint8_t Dram::read_byte(Addr addr) const {
-  std::uint8_t value = 0;
-  read_bytes(addr, {&value, 1});
-  return value;
-}
-
-void Dram::fill(Addr addr, std::uint8_t value, std::uint64_t count) {
-  std::vector<std::uint8_t> chunk(std::min<std::uint64_t>(count, kPageBytes),
-                                  value);
-  std::uint64_t done = 0;
-  while (done < count) {
-    const std::uint64_t n = std::min<std::uint64_t>(count - done, chunk.size());
-    write_bytes(addr + done, {chunk.data(), n});
-    done += n;
-  }
-}
-
 }  // namespace nvsoc

@@ -45,8 +45,6 @@ class Dram final : public BusTarget {
   // --- zero-time backdoor (PS preload, VP, test fixtures) -----------------
   void write_bytes(Addr addr, std::span<const std::uint8_t> data);
   void read_bytes(Addr addr, std::span<std::uint8_t> out) const;
-  std::uint8_t read_byte(Addr addr) const;
-  void fill(Addr addr, std::uint8_t value, std::uint64_t count);
 
   std::uint64_t size_bytes() const { return size_; }
   std::uint64_t touched_pages() const { return pages_.size(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include "common/strfmt.hpp"
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -51,14 +50,6 @@ void ProgramMemory::load_image(Addr base, std::span<const std::uint8_t> image) {
   }
   std::memcpy(data_.data() + base, image.data(), image.size());
   notify_code_write(base, image.size());
-}
-
-std::size_t ProgramMemory::load_mem_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open .mem file: " + path.string());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return load_mem_text(buffer.str());
 }
 
 std::size_t ProgramMemory::load_mem_text(const std::string& text) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,13 +31,11 @@ class ProgramMemory final : public BusTarget, public CodeWriteSource {
   /// Load a binary image at `base` (backdoor, zero simulated time).
   void load_image(Addr base, std::span<const std::uint8_t> image);
 
-  /// Load a Vivado-style .mem file: '//' comments, optional `@addr` records,
+  /// Load Vivado-style .mem text: '//' comments, optional `@addr` records,
   /// one 32-bit hex word per line. Returns the number of words loaded.
-  std::size_t load_mem_file(const std::filesystem::path& path);
-
-  /// Parse .mem text directly (used by the toolflow round-trip tests).
   std::size_t load_mem_text(const std::string& text);
 
+  /// Backdoor read of one word: the .mem load tests check images with it.
   Word word_at(Addr addr) const;
   std::uint64_t size_bytes() const { return data_.size(); }
   const BusStats& stats() const { return stats_; }

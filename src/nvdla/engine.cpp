@@ -22,17 +22,6 @@ constexpr bool is_desc_offset(Addr offset) {
 Nvdla::Nvdla(NvdlaConfig config, AxiTarget& dbb_port)
     : config_(std::move(config)), dbb_(dbb_port, config_) {}
 
-void Nvdla::reset() {
-  units_ = {};
-  intr_mask_ = 0;
-  intr_events_.clear();
-  conv_busy_until_ = sdp_busy_until_ = pdp_busy_until_ = cdp_busy_until_ =
-      bdma_busy_until_ = 0;
-  last_completion_ = 0;
-  stats_ = {};
-  op_records_.clear();
-}
-
 std::uint32_t Nvdla::reg(Unit u, unsigned group, Addr offset) const {
   return unit(u).regs[group][desc_index(offset)];
 }

@@ -97,9 +97,6 @@ class Nvdla final : public CsbTarget {
     op_recorder_ = std::move(recorder);
   }
 
-  /// Reset to power-on state (registers cleared, no pending interrupts).
-  void reset();
-
  private:
   struct UnitState {
     std::uint32_t pointer = 0;  ///< producer group select (bit 0)

@@ -104,7 +104,8 @@ class Cpu {
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
 
-  /// Execute a single instruction. Returns kNone while running.
+  /// Execute a single instruction. Returns kNone while running. The
+  /// single-step reference: tests stop the core at an exact instruction.
   HaltReason step();
 
   /// Execute up to `max_instructions` instructions as one burst, stopping

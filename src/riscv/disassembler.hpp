@@ -10,6 +10,7 @@
 namespace nvsoc::rv {
 
 /// Render one instruction at `pc` (pc is needed for branch/jump targets).
+/// The reference the assembler's round-trip tests compare against.
 std::string disassemble(std::uint32_t raw, Addr pc);
 
 }  // namespace nvsoc::rv

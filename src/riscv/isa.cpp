@@ -222,16 +222,6 @@ std::string_view mnemonic(Opcode op) {
   return "<invalid>";
 }
 
-bool is_load(Opcode op) {
-  switch (op) {
-    case Opcode::kLb: case Opcode::kLh: case Opcode::kLw:
-    case Opcode::kLbu: case Opcode::kLhu:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_store(Opcode op) {
   return op == Opcode::kSb || op == Opcode::kSh || op == Opcode::kSw;
 }

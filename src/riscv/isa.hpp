@@ -51,11 +51,10 @@ struct Decoded {
 /// Decode a raw 32-bit instruction word.
 Decoded decode(std::uint32_t raw);
 
-/// Mnemonic for diagnostics and the disassembler.
+/// Mnemonic for the disassembler.
 std::string_view mnemonic(Opcode op);
 
-/// True for instructions that read memory / write memory.
-bool is_load(Opcode op);
+/// True for instructions that write memory / may branch.
 bool is_store(Opcode op);
 bool is_branch(Opcode op);
 

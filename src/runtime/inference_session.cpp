@@ -68,8 +68,6 @@ PendingResult::PendingResult(Status status)
   state_->result.emplace(StatusOr<ExecutionResult>(std::move(status)));
 }
 
-bool PendingResult::valid() const { return state_ != nullptr; }
-
 bool PendingResult::ready() const {
   if (state_ == nullptr) return false;
   MutexLock lock(state_->mutex);

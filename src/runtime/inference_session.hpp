@@ -272,9 +272,6 @@ class PendingResult {
   PendingResult(PendingResult&&) noexcept = default;
   PendingResult& operator=(PendingResult&&) noexcept = default;
 
-  /// False once get() has consumed the result (or for a default-constructed
-  /// handle).
-  bool valid() const;
   /// Non-blocking: has the submitted inference finished?
   bool ready() const;
   /// Block until the inference finishes and take its result.
@@ -334,7 +331,8 @@ class StagingHandle {
   StagingHandle() = default;
 
   bool valid() const { return future_.valid(); }
-  /// Non-blocking: has the staging finished?
+  /// Non-blocking: has the staging finished? The poll of the async
+  /// staging contract, the counterpart of PendingResult::ready().
   bool ready() const;
   /// Block until staging finishes and take its Status.
   Status wait();
@@ -565,8 +563,8 @@ class InferenceSession {
   /// first probe freezes it). Either canary failing quarantines the
   /// model's schedule and trace core — the next use restages from the
   /// immutable frontend and records its SoC envelopes afresh — and reports
-  /// kDataLoss. Servers call this periodically; it executes one inference
-  /// synchronously. Thread-safe.
+  /// kDataLoss. It executes one inference synchronously. Thread-safe. The
+  /// fault-detection canary: only the fault tests call it so far.
   Status probe_golden(const std::string& backend);
 
  private:

@@ -66,8 +66,8 @@ class ThreadPool {
   static std::size_t recommended_workers(std::size_t task_count);
 
   /// How many ThreadPools this process has constructed — lets tests assert
-  /// that a serving session builds exactly one pool for its lifetime
-  /// instead of one per batch.
+  /// the one-pool-per-session contract: a serving session builds exactly
+  /// one pool for its lifetime instead of one per batch.
   static std::uint64_t total_created();
 
  private:

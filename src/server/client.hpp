@@ -39,6 +39,8 @@ class Client {
   /// kDeadlineExceeded instead of hanging.
   Status connect(std::uint16_t port);
   bool connected() const { return fd_ >= 0; }
+  /// close(), send() and roundtrip() are the protocol's client half, which
+  /// the server tests drive.
   void close();
 
   /// Encode and send one request (blocking until fully written).

@@ -88,11 +88,6 @@ rv::RunResult Soc::run(std::uint64_t max_instructions) {
   return result;
 }
 
-void Soc::reset() {
-  cpu_->reset();
-  nvdla_->reset();
-}
-
 SocBusCensus Soc::bus_census() const {
   SocBusCensus census;
   census.decoder = decoder_->stats();

@@ -69,7 +69,6 @@ class Soc {
   // --- execution -------------------------------------------------------------
   /// Run the loaded program to completion (ebreak) or `max_instructions`.
   rv::RunResult run(std::uint64_t max_instructions = UINT64_MAX);
-  void reset();
 
   // --- introspection -----------------------------------------------------------
   rv::Cpu& cpu() { return *cpu_; }

@@ -42,6 +42,7 @@ class ConfigFile {
   ///   write_reg <addr> <data>
   ///   read_reg <addr> <expected>
   std::string to_text() const;
+  /// The reader half of the configuration-file format (round-trip tests).
   static ConfigFile from_text(const std::string& text);
 };
 

@@ -62,6 +62,7 @@ struct WeightFile {
   std::uint64_t total_bytes() const;
   /// .bin container round-trip (what the Zynq PS loads into DDR).
   std::vector<std::uint8_t> to_bin() const;
+  /// The reader half of the .bin weight format (round-trip tests).
   static WeightFile from_bin(std::span<const std::uint8_t> bin);
 
   /// Rewrite the bytes of [base, base + bytes.size()) wherever existing

@@ -15,6 +15,7 @@
 #include <future>
 #include <thread>
 
+#include "gate_backend.hpp"
 #include "models/models.hpp"
 #include "runtime/backend_registry.hpp"
 #include "runtime/backends.hpp"
@@ -60,32 +61,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
-
-/// Signals `entered`, then holds its pool worker until `open` is
-/// fulfilled, and echoes the image back. One run per gate.
-class GateBackend final : public runtime::ExecutionBackend {
- public:
-  std::string_view name() const override { return "gate"; }
-  std::string_view description() const override {
-    return "signals entry, waits until the test opens it, echoes the image";
-  }
-  StatusOr<runtime::ExecutionResult> run(
-      const core::PreparedModel& prepared,
-      const runtime::RunOptions&) const override {
-    entered.set_value();
-    opened.wait();
-    runtime::ExecutionResult result;
-    result.backend = "gate";
-    result.output = prepared.input;
-    return result;
-  }
-
-  mutable std::promise<void> entered;
-  std::promise<void> open;
-
- private:
-  std::shared_future<void> opened = open.get_future().share();
-};
 
 // ---------------------------------------------------------------------------
 // Wrong-size images on every serving entry path (hoisted shape check)

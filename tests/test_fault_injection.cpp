@@ -23,6 +23,7 @@
 
 #include "core/bare_metal_flow.hpp"
 #include "fault/fault.hpp"
+#include "gate_backend.hpp"
 #include "models/models.hpp"
 #include "runtime/backend_registry.hpp"
 #include "runtime/inference_session.hpp"
@@ -125,33 +126,6 @@ class DataLossOnceBackend final : public runtime::ExecutionBackend {
   static const runtime::ExecutionBackend& soc() {
     return **runtime::BackendRegistry::global().find("soc");
   }
-};
-
-/// Signals `entered`, then holds its pool worker until `open` is
-/// fulfilled, and echoes the image: lets a test queue tasks behind a busy
-/// single-worker pool. One run per gate.
-class GateBackend final : public runtime::ExecutionBackend {
- public:
-  std::string_view name() const override { return "gate"; }
-  std::string_view description() const override {
-    return "signals entry, waits until the test opens it, echoes the image";
-  }
-  StatusOr<runtime::ExecutionResult> run(
-      const core::PreparedModel& prepared,
-      const runtime::RunOptions&) const override {
-    entered.set_value();
-    opened.wait();
-    runtime::ExecutionResult result;
-    result.backend = "gate";
-    result.output = prepared.input;
-    return result;
-  }
-
-  mutable std::promise<void> entered;
-  std::promise<void> open;
-
- private:
-  std::shared_future<void> opened = open.get_future().share();
 };
 
 // ---------------------------------------------------------------------------

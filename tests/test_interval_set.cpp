@@ -14,11 +14,10 @@ TEST(IntervalSet, BasicInsertAndCover) {
   IntervalSet set;
   EXPECT_TRUE(set.empty());
   set.insert(10, 20);
-  EXPECT_TRUE(set.covers(10, 20));
-  EXPECT_TRUE(set.covers(12, 15));
-  EXPECT_FALSE(set.covers(5, 12));
-  EXPECT_FALSE(set.covers(15, 25));
-  EXPECT_EQ(set.covered_bytes(), 10u);
+  EXPECT_TRUE(set.gaps(10, 20).empty());
+  EXPECT_TRUE(set.gaps(12, 15).empty());
+  EXPECT_FALSE(set.gaps(5, 12).empty());
+  EXPECT_FALSE(set.gaps(15, 25).empty());
 }
 
 TEST(IntervalSet, CoalescesAdjacentAndOverlapping) {
@@ -28,12 +27,12 @@ TEST(IntervalSet, CoalescesAdjacentAndOverlapping) {
   EXPECT_EQ(set.interval_count(), 1u);
   set.insert(15, 30);  // overlapping
   EXPECT_EQ(set.interval_count(), 1u);
-  EXPECT_TRUE(set.covers(0, 30));
+  EXPECT_TRUE(set.gaps(0, 30).empty());
   set.insert(40, 50);
   EXPECT_EQ(set.interval_count(), 2u);
   set.insert(25, 45);  // bridges the gap
   EXPECT_EQ(set.interval_count(), 1u);
-  EXPECT_EQ(set.covered_bytes(), 50u);
+  EXPECT_TRUE(set.gaps(0, 50).empty());
 }
 
 TEST(IntervalSet, EmptyInsertIgnored) {
@@ -60,16 +59,6 @@ TEST(IntervalSet, GapsEnumeration) {
             (std::pair<std::uint64_t, std::uint64_t>{20, 30}));
 }
 
-TEST(IntervalSet, Intersects) {
-  IntervalSet set;
-  set.insert(100, 200);
-  EXPECT_TRUE(set.intersects(150, 160));
-  EXPECT_TRUE(set.intersects(50, 101));
-  EXPECT_TRUE(set.intersects(199, 300));
-  EXPECT_FALSE(set.intersects(200, 300));  // half-open
-  EXPECT_FALSE(set.intersects(0, 100));
-}
-
 TEST(IntervalSet, PropertyMatchesNaiveSet) {
   // Compare against a naive per-byte set over random operations.
   Rng rng(2024);
@@ -81,18 +70,13 @@ TEST(IntervalSet, PropertyMatchesNaiveSet) {
     set.insert(begin, end);
     for (std::uint64_t b = begin; b < end; ++b) naive.insert(b);
   }
-  EXPECT_EQ(set.covered_bytes(), naive.size());
+  // Over the whole range, the gaps are exactly the bytes never inserted.
+  std::uint64_t uncovered = 0;
+  for (const auto& [gb, ge] : set.gaps(0, 1100)) uncovered += ge - gb;
+  EXPECT_EQ(uncovered, 1100 - naive.size());
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t begin = rng.next_below(1100);
     const std::uint64_t end = begin + 1 + rng.next_below(40);
-    bool naive_covers = true;
-    bool naive_intersects = false;
-    for (std::uint64_t b = begin; b < end; ++b) {
-      if (naive.contains(b)) naive_intersects = true;
-      else naive_covers = false;
-    }
-    EXPECT_EQ(set.covers(begin, end), naive_covers) << begin << " " << end;
-    EXPECT_EQ(set.intersects(begin, end), naive_intersects);
     // Gaps partition the uncovered bytes exactly.
     std::uint64_t gap_bytes = 0;
     for (const auto& [gb, ge] : set.gaps(begin, end)) {

@@ -260,14 +260,5 @@ TEST_F(EngineTest, NextCompletionAfterTracksInFlightOps) {
   EXPECT_FALSE(engine_.next_completion_after(500).has_value());
 }
 
-TEST_F(EngineTest, ResetClearsState) {
-  write(glb::kIntrSet, 0xF, 0);
-  write(unit_base(Unit::kCdma) + cdma::kDainAddr, 0x77, 1);
-  engine_.reset();
-  EXPECT_EQ(read(glb::kIntrStatus, 10), 0u);
-  EXPECT_EQ(read(unit_base(Unit::kCdma) + cdma::kDainAddr, 11), 0u);
-  EXPECT_FALSE(engine_.irq_pending(100));
-}
-
 }  // namespace
 }  // namespace nvsoc::nvdla
